@@ -9,20 +9,20 @@ stream", Section III-A) on a million-element Zipf-biased stream:
 * ``sharded`` — the batch driver over a hash-partitioned 4-shard ensemble
   on the serial execution backend (every shard in this process);
 * ``process`` — the same ensemble on the process backend (shard groups
-  pinned to worker processes) with its default transport: zero-copy
-  shared-memory rings plus double-buffered pipelined dispatch.  Its outputs
+  pinned to worker processes): zero-copy shared-memory rings plus
+  double-buffered pipelined dispatch.  Its outputs
   and merged memory are asserted bit-identical to the serial ensemble's,
   and on a machine with enough cores it must reach at least 2x the serial
   ensemble's throughput.
 * ``process_pickle`` — the same ensemble on the process backend with the
-  pre-ring wire format (``transport="pickle"``) and the synchronous
-  driving loop (``pipeline=False``).  On a machine with enough cores the
-  shm+pipelined tier must beat this tier by at least 1.5x — the regression
-  gate of the zero-copy transport.
+  pickled-frame fallback forced (the path of a host without shared memory)
+  and the synchronous driving loop (``pipeline=False``).  On a machine with
+  enough cores the shm+pipelined tier must beat this tier by at least 1.5x
+  — the regression gate of the zero-copy data path.
 * ``socket``  — the same ensemble on the socket backend (shard groups
   behind authenticated localhost TCP workers), the network-transparent
   tier; also asserted bit-identical to the serial ensemble.  This tier
-  tracks the framing/pickle transport cost against the pipe transport.
+  tracks the TCP framing cost against the process tier.
 
 The workload and the parallel tier scale down through environment variables
 (the same pattern as ``OVERLAY_BENCH_NODES``): ``ENGINE_BENCH_STREAM_SIZE``
@@ -57,6 +57,7 @@ from repro.bench.record import (
 )
 from repro.core import KnowledgeFreeStrategy
 from repro.engine import ShardedSamplingService, run_stream, run_stream_scalar
+from repro.engine.backends import shm
 from repro.streams import PAPER_TRACES, SyntheticTrace, zipf_stream
 
 #: The paper-scale workload: a million identifiers, Zipf-biased as in the
@@ -189,22 +190,25 @@ def test_process_backend_throughput(benchmark, print_result, identifiers):
         finally:
             service.close()
     benchmark.extra_info["workers"] = service.backend.workers
-    benchmark.extra_info["transport"] = service.backend.transport
+    benchmark.extra_info["transport"] = (
+        "shm" if shm.shared_memory_available() else "pickle")
     _record(benchmark, print_result, "process", result)
 
 
 @pytest.mark.figure("throughput")
 def test_process_pickle_backend_throughput(benchmark, print_result,
-                                           identifiers):
-    """The pre-ring reference tier: pickle transport, synchronous dispatch.
+                                           identifiers, monkeypatch):
+    """The pre-ring reference tier: pickled frames, synchronous dispatch.
 
     What the process backend shipped before the shared-memory rings — every
-    sub-chunk pickled into the command pipe and each chunk collected before
-    the next is partitioned.  The shm+pipelined tier above is gated against
-    this tier's throughput.
+    sub-chunk pickled into the worker channel and each chunk collected
+    before the next is partitioned; today the automatic fallback of a host
+    without shared memory, forced here.  The shm+pipelined tier above is
+    gated against this tier's throughput.
     """
+    monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
     with telemetry.enabled(TELEMETRY_REGISTRY):
-        service = _sharded("process", workers=WORKERS, transport="pickle")
+        service = _sharded("process", workers=WORKERS)
         try:
             result = benchmark.pedantic(
                 lambda: run_stream(service, identifiers,

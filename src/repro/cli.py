@@ -31,7 +31,7 @@ import logging
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments import figures
 from repro.experiments.reporting import format_series, format_table
@@ -59,23 +59,67 @@ def _write_telemetry(path: str, registry) -> None:
     print(f"telemetry snapshot written to {path}", file=sys.stderr)
 
 
-def _parse_endpoints_argument(text: Optional[str]) -> Optional[List[str]]:
-    """Split a comma-separated ``--endpoints`` value into a host:port list."""
-    if text is None:
-        return None
-    return [entry.strip() for entry in text.split(",") if entry.strip()]
+def _add_engine_arguments(parser: argparse.ArgumentParser, *,
+                          backend: Optional[str] = None,
+                          shards: Optional[int] = None,
+                          token_flag: str = "--auth-token-file",
+                          autoscale: bool = True) -> None:
+    """Add the execution-engine flags ``run``, ``throughput`` and ``serve``
+    share (each command passes its own defaults)."""
+    from repro.engine.backends import BACKENDS
+
+    parser.add_argument("--backend", choices=list(BACKENDS), default=backend,
+                        help="execution backend of the sharded ensemble "
+                             "(results are bit-identical per seed)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes/connections of the process "
+                             "and socket backends (default: one per shard, "
+                             "capped at the core count)")
+    parser.add_argument("--shards", type=int, default=shards,
+                        help="shard count of the hash-partitioned ensemble")
+    parser.add_argument("--endpoints", default=None,
+                        help="comma-separated host:port list of running "
+                             "`repro worker serve` instances (socket "
+                             "backend; omitted, supervised localhost "
+                             "workers are spawned)")
+    parser.add_argument(token_flag, dest="worker_token_file", default=None,
+                        help="file holding the shared worker auth token "
+                             "(socket backend with --endpoints)")
+    if autoscale:
+        parser.add_argument("--autoscale", nargs="?", const=True,
+                            default=None, metavar="JSON",
+                            help="enable load-triggered worker autoscaling "
+                                 "on the process/socket backends; bare flag "
+                                 "uses the default policy, or pass a JSON "
+                                 "object with min_workers/max_workers/"
+                                 "target_load_per_worker/check_every/"
+                                 "imbalance_ratio (results stay "
+                                 "bit-identical per seed)")
 
 
-def _parse_autoscale_argument(value):
-    """Normalise ``--autoscale`` (bare flag = default policy, or JSON knobs)."""
-    if value is None or value is True:
-        return value
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as error:
-        raise SystemExit(
-            f"--autoscale: expected a JSON policy object such as "
-            f'\'{{"max_workers": 4}}\' ({error})') from None
+def _engine_options(arguments: argparse.Namespace) -> Dict[str, object]:
+    """The engine flags that were given, as engine keyword arguments."""
+    options: Dict[str, object] = {
+        "backend": arguments.backend,
+        "workers": arguments.workers,
+        "shards": arguments.shards,
+        "auth_token_file": arguments.worker_token_file,
+    }
+    if arguments.endpoints is not None:
+        options["endpoints"] = [entry.strip()
+                                for entry in arguments.endpoints.split(",")
+                                if entry.strip()]
+    autoscale = getattr(arguments, "autoscale", None)
+    if autoscale is not None and autoscale is not True:
+        try:
+            autoscale = json.loads(autoscale)
+        except json.JSONDecodeError as error:
+            raise SystemExit(
+                f"--autoscale: expected a JSON policy object such as "
+                f'\'{{"max_workers": 4}}\' ({error})') from None
+    options["autoscale"] = autoscale
+    return {key: value for key, value in options.items()
+            if value is not None}
 
 
 def _cmd_run(arguments: argparse.Namespace) -> None:
@@ -103,36 +147,12 @@ def _cmd_run(arguments: argparse.Namespace) -> None:
             overrides["sweep"] = replace(spec.sweep, trials=arguments.trials)
     if arguments.seed is not None:
         overrides["seed"] = arguments.seed
-    if (arguments.backend is not None or arguments.workers is not None
-            or arguments.endpoints is not None
-            or arguments.auth_token_file is not None
-            or arguments.shards is not None
-            or arguments.transport is not None
-            or arguments.ring_slots is not None
-            or arguments.autoscale is not None):
-        engine_overrides = {}
-        if arguments.backend is not None:
-            engine_overrides["backend"] = arguments.backend
-        if arguments.workers is not None:
-            engine_overrides["workers"] = arguments.workers
-        if arguments.shards is not None:
-            engine_overrides["shards"] = arguments.shards
-        if arguments.transport is not None:
-            engine_overrides["transport"] = arguments.transport
-        if arguments.ring_slots is not None:
-            engine_overrides["ring_slots"] = arguments.ring_slots
-        if arguments.autoscale is not None:
-            engine_overrides["autoscale"] = \
-                _parse_autoscale_argument(arguments.autoscale)
-        if arguments.endpoints is not None:
-            engine_overrides["endpoints"] = \
-                _parse_endpoints_argument(arguments.endpoints)
-        if arguments.auth_token_file is not None:
-            engine_overrides["auth_token_file"] = arguments.auth_token_file
+    engine = _engine_options(arguments)
+    if engine:
         # replace() re-runs the engine section's validation, so an override
         # that contradicts the spec (e.g. --workers on a serial backend)
         # fails with the same error a hand-written spec would
-        overrides["engine"] = replace(spec.engine, **engine_overrides)
+        overrides["engine"] = replace(spec.engine, **engine)
     if overrides:
         spec = replace(spec, **overrides)
     with _telemetry_context(arguments.telemetry_out is not None) as registry:
@@ -209,17 +229,11 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
         batch = run_stream(make_strategy(), stream,
                            batch_size=arguments.batch_size)
         sharded_service = ShardedSamplingService.knowledge_free(
-            shards=arguments.shards,
             memory_size=arguments.memory_size,
             sketch_width=arguments.sketch_width,
             sketch_depth=arguments.sketch_depth,
             random_state=arguments.seed,
-            backend=arguments.backend,
-            workers=arguments.workers,
-            endpoints=_parse_endpoints_argument(arguments.endpoints),
-            auth_token_file=arguments.auth_token_file,
-            transport=arguments.transport,
-            ring_slots=arguments.ring_slots,
+            **_engine_options(arguments),
         )
         try:
             sharded = run_stream(sharded_service, stream,
@@ -276,11 +290,8 @@ def _cmd_worker_serve(arguments: argparse.Namespace) -> None:
     """Host shard workers over TCP for the socket execution backend."""
     import signal
 
-    from repro.engine.backends.socket import (
-        WorkerServer,
-        load_auth_token,
-        parse_endpoint,
-    )
+    from repro.engine.backends.socket import WorkerServer
+    from repro.engine.backends.wire import load_auth_token, parse_endpoint
 
     try:
         host, port = parse_endpoint(arguments.listen, allow_port_zero=True)
@@ -319,7 +330,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> None:
     import threading
 
     from repro.engine import ShardedSamplingService
-    from repro.engine.backends.socket import load_auth_token, parse_endpoint
+    from repro.engine.backends.wire import load_auth_token, parse_endpoint
     from repro.serve.server import SamplingServer
 
     try:
@@ -330,15 +341,8 @@ def _cmd_serve(arguments: argparse.Namespace) -> None:
         token = load_auth_token(arguments.auth_token_file)
     except (OSError, ValueError) as error:
         raise SystemExit(f"repro serve: {error}") from None
-    build_kwargs = dict(
-        backend=arguments.backend,
-        workers=arguments.workers,
-        endpoints=_parse_endpoints_argument(arguments.endpoints),
-        auth_token_file=arguments.worker_auth_token_file,
-        transport=arguments.transport,
-        ring_slots=arguments.ring_slots,
-        autoscale=_parse_autoscale_argument(arguments.autoscale),
-    )
+    build_kwargs = _engine_options(arguments)
+    shards = build_kwargs.pop("shards")
     with _telemetry_context(arguments.telemetry_out is not None) as registry:
         state_file = arguments.state_file
         if state_file and os.path.exists(state_file):
@@ -350,7 +354,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> None:
                   file=sys.stderr)
         else:
             service = ShardedSamplingService.knowledge_free(
-                arguments.shards, arguments.memory_size,
+                shards, arguments.memory_size,
                 sketch_width=arguments.sketch_width,
                 sketch_depth=arguments.sketch_depth,
                 random_state=arguments.seed, **build_kwargs)
@@ -661,43 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sweep-summary", action="store_true",
                      help="condense a sweep into one row per (value, "
                           "strategy) instead of one block per point")
-    run.add_argument("--backend", choices=["serial", "process", "socket"],
-                     default=None,
-                     help="override the spec's execution backend (sharded "
-                          "scenarios; results are bit-identical per seed)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes/connections of the process and "
-                          "socket backends (default: one per shard, capped "
-                          "at the core count)")
-    run.add_argument("--shards", type=int, default=None,
-                     help="override the spec's shard count (sharded "
-                          "scenarios; required when enabling --autoscale on "
-                          "a spec without engine.shards)")
-    run.add_argument("--autoscale", nargs="?", const=True, default=None,
-                     metavar="JSON",
-                     help="enable load-triggered worker autoscaling on the "
-                          "process/socket backends; bare flag uses the "
-                          "default policy, or pass a JSON object with "
-                          "min_workers/max_workers/target_load_per_worker/"
-                          "check_every/imbalance_ratio (results stay "
-                          "bit-identical per seed)")
-    run.add_argument("--endpoints", default=None,
-                     help="comma-separated host:port list of running "
-                          "`repro worker serve` instances (socket backend; "
-                          "omitted, supervised localhost workers are "
-                          "spawned)")
-    run.add_argument("--auth-token-file", default=None,
-                     help="file holding the shared worker auth token "
-                          "(socket backend with --endpoints)")
-    run.add_argument("--transport", choices=["shm", "pickle"], default=None,
-                     help="chunk transport of the process backend: 'shm' "
-                          "stages sub-chunks in per-worker shared-memory "
-                          "rings (zero-copy; the default where available), "
-                          "'pickle' serialises them into the command pipe "
-                          "(results are bit-identical either way)")
-    run.add_argument("--ring-slots", type=int, default=None,
-                     help="slots per worker shared-memory ring (process "
-                          "backend with --transport shm)")
+    _add_engine_arguments(run)
     run.add_argument("--telemetry-out", default=None, metavar="FILE",
                      help="run with telemetry enabled and write the metrics "
                           "snapshot (counters, gauges, histograms — "
@@ -783,29 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
     throughput.add_argument("--sketch-width", type=int, default=200)
     throughput.add_argument("--sketch-depth", type=int, default=5)
     throughput.add_argument("--batch-size", type=int, default=8192)
-    throughput.add_argument("--shards", type=int, default=4)
-    throughput.add_argument("--backend",
-                            choices=["serial", "process", "socket"],
-                            default="serial",
-                            help="execution backend of the sharded driver")
-    throughput.add_argument("--workers", type=int, default=None,
-                            help="worker processes/connections of the "
-                                 "process and socket backends")
-    throughput.add_argument("--endpoints", default=None,
-                            help="comma-separated host:port list of running "
-                                 "`repro worker serve` instances (socket "
-                                 "backend)")
-    throughput.add_argument("--auth-token-file", default=None,
-                            help="file holding the shared worker auth token "
-                                 "(socket backend with --endpoints)")
-    throughput.add_argument("--transport", choices=["shm", "pickle"],
-                            default=None,
-                            help="chunk transport of the process backend "
-                                 "(shm = zero-copy shared-memory rings, "
-                                 "the default where available)")
-    throughput.add_argument("--ring-slots", type=int, default=None,
-                            help="slots per worker shared-memory ring "
-                                 "(process backend, shm transport)")
+    _add_engine_arguments(throughput, backend="serial", shards=4,
+                          autoscale=False)
     throughput.add_argument("--scalar-limit", type=int, default=100_000,
                             help="cap on elements fed to the slow "
                                  "per-element reference driver")
@@ -855,31 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drain snapshot path; restored at startup "
                               "when it exists, so a restart resumes with "
                               "an identical sampler")
-    serving.add_argument("--backend", default="serial",
-                         choices=["serial", "process", "socket"],
-                         help="execution backend of the shard pool")
-    serving.add_argument("--workers", type=int, default=None,
-                         help="worker count for the process/socket backends")
-    serving.add_argument("--endpoints", default=None,
-                         help="comma-separated worker HOST:PORT list for "
-                              "the socket backend (omit to spawn locally)")
-    serving.add_argument("--worker-auth-token-file", default=None,
-                         help="shared token file for remote socket workers")
-    serving.add_argument("--transport", choices=["shm", "pickle"],
-                         default=None,
-                         help="chunk transport of the process backend "
-                              "(shm = zero-copy shared-memory rings, the "
-                              "default where available)")
-    serving.add_argument("--ring-slots", type=int, default=None,
-                         help="slots per worker shared-memory ring "
-                              "(process backend, shm transport)")
-    serving.add_argument("--autoscale", nargs="?", const=True, default=None,
-                         metavar="JSON",
-                         help="enable load-triggered worker autoscaling on "
-                              "the process/socket backends; bare flag uses "
-                              "the default policy, or pass a JSON policy "
-                              "object")
-    serving.add_argument("--shards", type=int, default=4)
+    _add_engine_arguments(serving, backend="serial", shards=4,
+                          token_flag="--worker-auth-token-file")
     serving.add_argument("--memory-size", type=int, default=50)
     serving.add_argument("--sketch-width", type=int, default=10)
     serving.add_argument("--sketch-depth", type=int, default=5)
@@ -935,8 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "always reproduces the same sweep)")
     fuzz.add_argument("--backends", default=None,
                       help="comma-separated backend variants to compare "
-                           "(default serial,process,socket; also "
-                           "process-pickle)")
+                           "(default serial,process,socket)")
     fuzz.add_argument("--replay", nargs="+", default=None, metavar="ENTRY",
                       help="replay corpus entry JSON files instead of "
                            "generating specs (see tests/fuzz_corpus/)")

@@ -1,21 +1,23 @@
 """Pluggable execution backends of the sharded sampling service.
 
 * :mod:`repro.engine.backends.base` — the :class:`ExecutionBackend`
-  contract, the shared worker-command interpreter and the
-  :func:`make_backend` resolver;
+  contract, the supervised :class:`WorkerPoolBackend` (requests, crash
+  re-spawn via snapshot + bounded replay, teardown), the worker session
+  loop and the :func:`make_backend` resolver;
 * :mod:`repro.engine.backends.serial` — every shard in the calling process
   (the original behaviour, bit-identical);
-* :mod:`repro.engine.backends.process` — shard groups pinned to worker
-  processes, bit-identical to serial per master seed;
+* :mod:`repro.engine.backends.process` — shard groups in forked worker
+  processes fed through shared-memory rings, bit-identical to serial per
+  master seed;
 * :mod:`repro.engine.backends.socket` — shard groups behind authenticated
   TCP connections (local supervised workers or remote ``repro worker
-  serve`` endpoints), with crash re-spawn via snapshot + bounded replay,
-  bit-identical to serial per master seed.
+  serve`` endpoints), bit-identical to serial per master seed;
+* :mod:`repro.engine.backends.wire` — the frame and handshake codec every
+  worker channel and the ``repro serve`` protocol share.
 """
 
 from repro.engine.backends.base import (
     BACKENDS,
-    TRANSPORTS,
     AuthenticationError,
     BackendError,
     DispatchTicket,
@@ -31,16 +33,11 @@ from repro.engine.backends.process import ProcessBackend
 from repro.engine.backends.serial import SerialBackend
 from repro.engine.backends.shm import ShmRing, ShmRingView, \
     shared_memory_available
-from repro.engine.backends.socket import (
-    SocketBackend,
-    WorkerServer,
-    load_auth_token,
-    parse_endpoint,
-)
+from repro.engine.backends.socket import SocketBackend, WorkerServer
+from repro.engine.backends.wire import load_auth_token, parse_endpoint
 
 __all__ = [
     "BACKENDS",
-    "TRANSPORTS",
     "AuthenticationError",
     "BackendError",
     "DispatchTicket",

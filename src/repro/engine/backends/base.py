@@ -4,9 +4,11 @@ A :class:`~repro.engine.sharded.ShardedSamplingService` is the composition of
 ``S`` independent per-shard services behind one hash partition.  *Where* those
 shard services execute is an orthogonal choice: in the calling process (the
 :class:`~repro.engine.backends.serial.SerialBackend`, the original behaviour)
-or spread over worker processes pinned to cores (the
-:class:`~repro.engine.backends.process.ProcessBackend`).  This module defines
-the contract both implement.
+or spread over a supervised pool of worker processes (the
+:class:`~repro.engine.backends.process.ProcessBackend` and
+:class:`~repro.engine.backends.socket.SocketBackend`, both built on
+:class:`WorkerPoolBackend`).  This module defines the contract, the worker
+pool and the worker-side session loop every pool worker runs.
 
 The contract is shaped by the library's determinism guarantee: per master
 seed, every backend must produce **bit-identical** outputs and merged
@@ -21,30 +23,33 @@ process cannot change what it computes.
 from __future__ import annotations
 
 import abc
+import logging
 import multiprocessing
 import pickle
+import signal
+import socket
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.engine.backends import wire
+from repro.engine.backends.shm import ShmRingView
 from repro.engine.placement import ShardPlacement
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.registry import DEPTH_EDGES, TIME_EDGES
+from repro.telemetry.registry import DEPTH_EDGES, SIZE_EDGES, TIME_EDGES
 
 #: Builds the service of one shard from its index and its private generator.
-#: Process backends pickle the factory into their workers, so factories must
-#: be picklable (module-level functions or classes, not closures).
+#: Under the ``fork`` start method process workers inherit the factory, so
+#: any callable works; under ``spawn`` and for socket workers it is pickled,
+#: so it must be a module-level function or class.
 ShardFactory = Callable[[int, np.random.Generator], object]
 
 #: The backend names :func:`make_backend` resolves.
 BACKENDS = ("serial", "process", "socket")
-
-#: The worker transports the process backend resolves (``make_backend``'s
-#: ``transport`` knob): zero-copy shared-memory rings or the pickle pipe.
-TRANSPORTS = ("shm", "pickle")
 
 #: Deadline applied to ordinary worker requests when no ``worker_timeout``
 #: was configured.  Startup keeps its own (shorter) deadline; this one only
@@ -52,6 +57,29 @@ TRANSPORTS = ("shm", "pickle")
 #: that no legitimate chunk ever trips it — but a wedged worker surfaces as
 #: :class:`WorkerTimeoutError` instead of blocking the parent forever.
 DEFAULT_REQUEST_TIMEOUT = 300.0
+
+#: Seconds granted to a worker to build its shard services and report ready.
+_STARTUP_TIMEOUT = 120.0
+
+#: State-mutating requests a worker accumulates before the supervisor
+#: replaces its journal with a state snapshot — the bound on how much a
+#: crashed worker has to replay.
+_SNAPSHOT_EVERY = 32
+
+#: Re-launch attempts per worker loss before it is declared lost.
+_MAX_RESPAWNS = 3
+
+#: Base backoff between re-launch attempts (grows linearly).
+_RESPAWN_BACKOFF = 0.1
+
+#: Commands that mutate worker-side shard state and must be journalled for
+#: deterministic replay after a crash.  ``migrate_in``/``migrate_out`` ride
+#: along so a replay reconstructs shard-membership changes exactly (the
+#: shipped state blobs are journalled verbatim); ``snapshot_delta`` is
+#: deliberately absent — it only clears dirty flags, and a rebuilt worker
+#: starts all-dirty, which is the conservative-safe default.
+_MUTATING_COMMANDS = frozenset({"batch", "sample", "sample_many", "reset",
+                                "migrate_in", "migrate_out"})
 
 
 class BackendError(RuntimeError):
@@ -78,9 +106,9 @@ class ShardGroup(dict):
     only those.  A freshly built group is all-dirty (the parent has captured
     nothing yet), which is the conservative-safe default: a rebuilt worker
     after a crash re-ships full state on its next delta.  The set pickles
-    with the group, so a supervision snapshot restored by the socket
-    backend's recovery path carries the correct dirty bookkeeping through
-    journal replay (replayed mutations re-mark their shards).
+    with the group, so a supervision snapshot restored by the pool's
+    recovery path carries the correct dirty bookkeeping through journal
+    replay (replayed mutations re-mark their shards).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -94,9 +122,9 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
     This is the single interpreter of the message-shaped worker protocol
     (``batch`` / ``sample`` / ``sample_many`` / ``loads`` / ``memory_sizes``
     / ``memory`` / ``reset`` / ``snapshot`` / ``snapshot_delta`` /
-    ``migrate_in`` / ``migrate_out`` / ``telemetry``), shared by the
-    process backend's pipe workers and the socket backend's TCP workers so
-    both transports execute exactly the same per-shard operations.
+    ``migrate_in`` / ``migrate_out`` / ``telemetry``), run by
+    :func:`serve_session` for process and socket workers alike, so every
+    pool executes exactly the same per-shard operations.
 
     It runs *inside the worker process*, so it is also where the
     worker-side telemetry accrues: with telemetry enabled, every command is
@@ -127,7 +155,7 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
         return telemetry.snapshot_active()
     if command == "snapshot":
         # pickled (not live) services so the reply is a self-contained state
-        # blob: the socket supervisor journals it per worker, and
+        # blob: the pool supervisor keeps it per worker, and
         # ExecutionBackend.snapshot_shards merges the per-worker blobs into
         # the public ShardedSamplingService.snapshot() payload.  Dirty flags
         # are deliberately NOT cleared: this blob feeds supervision and the
@@ -182,6 +210,120 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
             service.reset()
         return None
     raise ValueError(f"unknown worker command {command!r}")
+
+
+# --------------------------------------------------------------------- #
+# Worker side: one session loop for every pool
+# --------------------------------------------------------------------- #
+def _build_services(payload: Dict[str, Any]) -> ShardGroup:
+    """Build one worker's shard-service map from a ``start`` payload.
+
+    Fresh starts carry the shard factory plus the per-shard generators
+    spawned in the parent (the determinism root: each shard keeps drawing
+    the coin stream the serial backend would consume).  Re-launches after a
+    crash carry the supervision snapshot instead — the worker's pickled
+    :class:`ShardGroup` as of the last snapshot point — so the supervisor
+    replays only the commands issued since.
+    """
+    if payload.get("telemetry"):
+        # fresh per-session registry: a fork-inherited (or previous
+        # session's) registry must not leak into the snapshot the parent
+        # harvests via "telemetry"
+        telemetry.enable_worker()
+    blob = payload.get("services_blob")
+    if blob is not None:
+        return pickle.loads(blob)
+    factory = payload["factory"]
+    return ShardGroup({shard: factory(shard, rng)
+                       for shard, rng in zip(payload["shard_ids"],
+                                             payload["rngs"])})
+
+
+def _serve_batch_shm(ring: ShmRingView, services, header):
+    """Serve one zero-copy batch: views in, ordinary ingest, views out.
+
+    Delegates the ingestion to the regular ``batch`` interpreter, so dirty
+    tracking and the worker-side batch telemetry behave identically on both
+    data paths.  The reply echoes the slot and sequence number (the parent
+    verifies them against its ticket) and carries either out-region entries
+    or, when the outputs outgrow the slot, the inlined arrays.
+    """
+    views = ring.read_in(header["slot"], header["entries"], header["dtype"])
+    outputs = serve_shard_command(services, "batch", views)
+    reply = {"slot": header["slot"], "seq": header["seq"]}
+    entries = ring.try_write_out(header["slot"], outputs)
+    if entries is None:  # pragma: no cover - outputs larger than the slot
+        reply["inline"] = outputs
+    else:
+        reply["entries"] = entries
+    return reply
+
+
+def serve_session(channel: socket.socket, first=None) -> None:
+    """Serve one worker session on a connected channel until it closes.
+
+    Every pool worker runs this loop: ``start`` builds the shard services
+    (and attaches the shared-memory ring named in its payload, if any),
+    ``batch_shm`` ingests a sub-chunk staged in that ring, and everything
+    else goes through :func:`serve_shard_command`.  A request that raises
+    replies with the formatted traceback instead of ending the session.
+    ``first`` is a request served before anything is read — a process
+    worker receives its ``start`` at fork time that way, so factories that
+    do not pickle keep working.
+    """
+    services = ring = None
+    try:
+        while True:
+            if first is not None:
+                (command, payload), first = first, None
+            else:
+                try:
+                    command, payload = wire.recv_frame(channel)
+                except (wire.ConnectionLost, pickle.UnpicklingError):
+                    return
+            if command == "close":
+                return
+            try:
+                if command == "start":
+                    services = _build_services(payload)
+                    if payload.get("ring") is not None:
+                        ring = ShmRingView(*payload["ring"])
+                    result = sorted(services)
+                elif services is None:
+                    raise RuntimeError(
+                        f"protocol error: {command!r} before 'start'")
+                elif command == "batch_shm":
+                    result = _serve_batch_shm(ring, services, payload)
+                else:
+                    result = serve_shard_command(services, command, payload)
+                reply = (True, result)
+            except Exception:
+                reply = (False, traceback.format_exc())
+            wire.send_frame(channel, reply)
+    except OSError:
+        return
+    finally:
+        if ring is not None:
+            ring.close()
+
+
+def reset_signal_handlers() -> None:
+    """Give a forked worker process the default SIGTERM/SIGINT handling.
+
+    A ``fork`` inherits the parent's signal dispositions.  When the parent
+    is ``repro serve``, SIGTERM/SIGINT are wired to its drain handler —
+    inherited, they would make the worker ignore the supervisor's
+    ``terminate()`` and outlive the parent.
+    """
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            signal.signal(signum, signal.SIG_DFL)
+        except (OSError, ValueError):  # pragma: no cover - exotic platforms
+            pass
+    try:
+        signal.set_wakeup_fd(-1)
+    except (OSError, ValueError):  # pragma: no cover - non-main thread
+        pass
 
 
 @dataclass
@@ -328,7 +470,7 @@ class ExecutionBackend(abc.ABC):
         """Per-shard loads without a worker round-trip (hot-path variant).
 
         Backends that can answer :meth:`shard_loads` locally simply reuse it;
-        the process backend overrides this with a caller-side counter so the
+        the worker pools override this with a caller-side counter so the
         per-sample candidate computation does not pay one IPC round-trip per
         draw.
         """
@@ -393,22 +535,31 @@ class ExecutionBackend(abc.ABC):
 
 
 class WorkerPoolBackend(ExecutionBackend):
-    """Shared parent-side logic of backends that pin shard groups to workers.
+    """Supervised pool of workers that each own a group of shards.
 
-    The process and socket backends differ only in their transport (pipes vs
-    authenticated TCP) and failure policy (fail fast vs re-spawn).  Everything
-    else — worker clamping, the shard→worker map, chunk partition/scatter,
-    grouped sampling, load accounting, the inspection broadcasts — lives
-    here, written once against two transport primitives:
+    The process and socket backends differ only in how a worker comes up
+    (:meth:`_launch`: fork onto a private socketpair, or spawn/connect a TCP
+    worker and authenticate).  Everything after that is written once, here,
+    over one channel type — a connected stream socket carrying
+    :mod:`~repro.engine.backends.wire` frames, served on the far side by
+    :func:`serve_session`:
 
-    * :meth:`_post` — send one ``(command, payload)`` request to a worker;
-    * :meth:`_finish` — collect that worker's reply (raising the backend's
-      failure-policy errors).
-
-    Requests are pipelined per operation (post to every involved worker,
-    then collect in order), and :meth:`_after_requests` runs once per
-    completed operation — the socket backend uses it to refresh its
-    supervision snapshots.
+    * **requests** — :meth:`_post` / :meth:`_finish` with deadlines, FIFO
+      per worker, so pipelined dispatch may keep two requests in flight;
+    * **the pool** — worker clamping, the shard→worker map, chunk
+      partition/scatter, grouped sampling, load accounting, live migration
+      and the inspection broadcasts;
+    * **supervision** — every state-mutating request is journalled per
+      worker, and once :attr:`_snapshot_every` have accumulated on an idle
+      worker a state snapshot replaces the journal.  A lost channel (worker
+      killed, connection dropped) re-launches the worker from its last
+      snapshot, replays the journal and re-sends the requests still in
+      flight, so the pending collect completes transparently.  After
+      :attr:`_max_respawns` failed attempts — or as many crashes on one
+      request — the loss surfaces as :class:`WorkerCrashError`.  A timeout,
+      a worker that raises and a desynchronised reply are not recovered:
+      they poison the backend, since retrying could read a stale reply;
+    * **teardown**.
 
     Parameters
     ----------
@@ -444,11 +595,6 @@ class WorkerPoolBackend(ExecutionBackend):
         self._shard_factory = shard_factory
         self._shard_rngs = list(shard_rngs)
         self._loads = [0] * self.shards
-        #: Per-worker FIFO of (command, posted-at) request stamps, read by
-        #: the round-trip latency telemetry in :meth:`_finish_timed`.  A
-        #: deque, not a single slot: pipelined dispatch can have two
-        #: requests outstanding on one worker.
-        self._pending_meta: Dict[int, Deque[tuple]] = {}
         #: FIFO of in-flight dispatch tickets (oldest first).  Bounded by
         #: :attr:`pipeline_depth`; every non-dispatch operation drains it
         #: first so the worker-side command order matches the synchronous
@@ -463,6 +609,31 @@ class WorkerPoolBackend(ExecutionBackend):
         #: handed out (and cleared) by :meth:`telemetry_snapshots` so a
         #: retired worker's registry is merged exactly once.
         self._retired_telemetry: List[Dict[str, Any]] = []
+        self._closed = False
+        self._broken = False
+        #: Successful worker recoveries (the crash tests assert it advanced).
+        self.respawns = 0
+        self._snapshot_every = _SNAPSHOT_EVERY
+        self._max_respawns = _MAX_RESPAWNS
+        # lifecycle events log under the concrete backend's module, so
+        # `repro --log-level WARNING` names the pool that recovered
+        self._log = logging.getLogger(type(self).__module__)
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+        # Per-worker slot state, indexed by worker id (ids are sequential
+        # and never reused, so a new slot is always the next index).
+        self._channels: List[Optional[socket.socket]] = []
+        self._processes: List[Optional[multiprocessing.Process]] = []
+        self._fresh_starts: List[Dict[str, Any]] = []
+        self._snapshots: List[Optional[bytes]] = []
+        #: Mutating requests completed since the worker's last snapshot.
+        self._journals: List[List[tuple]] = []
+        #: Per-worker FIFO of posted, not yet collected requests:
+        #: ``(request, logical, metric, posted_at)``.  ``request`` is what
+        #: went on the wire (and is re-sent after a recovery), ``logical``
+        #: what the journal replays, ``metric`` the round-trip series.
+        self._inflight: List[Deque[tuple]] = []
 
     @property
     def workers(self) -> int:
@@ -470,72 +641,353 @@ class WorkerPoolBackend(ExecutionBackend):
         return self._placement.workers
 
     # ------------------------------------------------------------------ #
-    # Transport primitives
+    # Worker lifecycle
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def _post(self, worker: int, command: str, payload=None) -> None:
-        """Send one request frame to a worker."""
+    def _launch(self, worker: int, start: Dict[str, Any]) -> socket.socket:
+        """Bring up worker ``worker`` and return its channel.
 
-    @abc.abstractmethod
-    def _finish(self, worker: int):
-        """Collect the reply of the worker's pending request."""
-
-    def _after_requests(self, workers) -> None:
-        """Hook run after an operation's replies are all collected."""
-
-    def _post_timed(self, worker: int, command: str, payload=None, *,
-                    metric: Optional[str] = None) -> None:
-        """Send one request, stamping it for round-trip telemetry.
-
-        ``metric`` overrides the command name the round-trip histogram is
-        recorded under — the shm transport posts ``batch_shm`` frames but
-        accounts them as ``batch``, so dashboards see one dispatch latency
-        series regardless of transport.
+        The worker must execute ``("start", start)`` as its first request,
+        so the channel's next frame is the start reply.  A launch that
+        creates a process records it in ``self._processes[worker]``.
         """
+
+    def _retire(self, worker: int) -> None:
+        """Release per-slot resources once a worker is gone for good."""
+
+    def _start_pool(self) -> None:
+        """Start the initial workers (subclass constructors call this last)."""
+        workers = self._placement.worker_ids
+        try:
+            for worker in workers:
+                self._add_slot(worker, self._placement.shards_of(worker))
+            self._start(workers)
+        except BaseException:
+            # a failed startup (factory error, timeout, bad token) must not
+            # leak the sibling workers already launched
+            self._teardown()
+            raise
+
+    def _add_slot(self, worker: int, owned: List[int]) -> None:
+        """Register the supervision state of a new worker slot.
+
+        The fresh-start payload is frozen here: the shards the slot owns
+        now, the factory, and those shards' generators, which the parent
+        never draws from — so a re-launch before the first snapshot
+        rebuilds the exact initial state, including shards migrated away
+        since (a replayed ``migrate_out`` removes them again).
+        """
+        for slots in (self._channels, self._processes, self._snapshots):
+            slots.append(None)
+        self._journals.append([])
+        self._inflight.append(deque())
+        self._fresh_starts.append({
+            "shard_ids": owned,
+            "factory": self._shard_factory,
+            "rngs": [self._shard_rngs[shard] for shard in owned],
+        })
+
+    def _start(self, workers: Sequence[int], *,
+               from_snapshot: bool = False) -> None:
+        """Launch workers, then wait until each has built its shards."""
+        worker = None
+        try:
+            for worker in workers:
+                self._stop_process(worker)
+                start = dict(self._fresh_starts[worker])
+                if from_snapshot and self._snapshots[worker] is not None:
+                    start = {"services_blob": self._snapshots[worker]}
+                if telemetry.is_enabled():
+                    start["telemetry"] = True
+                self._channels[worker] = self._launch(worker, start)
+            for worker in workers:
+                (ok, result), _ = self._receive(worker, _STARTUP_TIMEOUT)
+                if not ok:
+                    raise WorkerCrashError(
+                        f"worker {worker} failed to build its shards:\n"
+                        f"{result}")
+        except wire.DeadlineExceeded:
+            raise WorkerTimeoutError(
+                f"worker {worker} did not finish its startup in time"
+            ) from None
+        except wire.ConnectionLost as error:
+            raise WorkerCrashError(
+                f"worker {worker} dropped its channel during startup: "
+                f"{error}") from error
+
+    def _close_channel(self, worker: int) -> None:
+        channel, self._channels[worker] = self._channels[worker], None
+        if channel is not None:
+            channel.close()
+
+    def _stop_process(self, worker: int) -> None:
+        process, self._processes[worker] = self._processes[worker], None
+        if process is None:
+            return
+        if process.is_alive():
+            process.terminate()
+        process.join(timeout=5.0)
+        if process.is_alive():  # pragma: no cover - SIGTERM blocked
+            process.kill()
+            process.join(timeout=5.0)
+
+    def _halt(self, worker: int) -> None:
+        """Close one worker for good: channel, process, slot resources."""
+        channel = self._channels[worker]
+        if channel is not None:
+            try:
+                wire.send_frame(channel, ("close", None),
+                                deadline=time.monotonic() + 1.0)
+            except (wire.DeadlineExceeded, OSError):
+                pass
+        self._close_channel(worker)
+        self._stop_process(worker)
+        self._retire(worker)
+
+    def _teardown(self) -> None:
+        for worker in range(len(self._channels)):
+            self._halt(worker)
+
+    # ------------------------------------------------------------------ #
+    # Requests
+    # ------------------------------------------------------------------ #
+    def _request_timeout(self) -> float:
+        return (self.worker_timeout if self.worker_timeout is not None
+                else DEFAULT_REQUEST_TIMEOUT)
+
+    def _check_usable(self) -> None:
+        if self._closed:
+            raise WorkerCrashError(
+                f"the {self.name} backend is closed; build a new service")
+        if self._broken:
+            raise WorkerCrashError(
+                "a previous worker failure desynchronised the worker "
+                "protocol (a reply may still be in flight); build a new "
+                "service")
+
+    def _receive(self, worker: int, timeout: float):
+        """Read one reply frame: ``((ok, result), payload_bytes)``."""
+        blob = wire.recv_raw_frame(self._channels[worker],
+                                   deadline=time.monotonic() + timeout)
+        return pickle.loads(blob), len(blob)
+
+    def _post(self, worker: int, command: str, payload=None, *,
+              logical: Optional[tuple] = None,
+              metric: Optional[str] = None) -> None:
+        """Send one request to a worker (a lost channel is recovered).
+
+        ``logical`` is what the journal replays if it differs from the wire
+        request — a shared-memory batch journals its arrays, not the ring
+        header, because ring slots are reused.  ``metric`` overrides the
+        round-trip series, so both batch data paths report as ``batch``.
+        """
+        self._check_usable()
+        request = (command, payload)
+        blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
+        self._inflight[worker].append((request, logical or request,
+                                       metric or command,
+                                       time.perf_counter()))
+        try:
+            wire.send_raw_frame(
+                self._channels[worker], blob,
+                deadline=time.monotonic() + self._request_timeout())
+        except wire.DeadlineExceeded:
+            # a live worker that stopped draining its channel is hung, not
+            # dead: surface it like a reply timeout instead of re-launching
+            self._broken = True
+            raise WorkerTimeoutError(
+                f"worker {worker} did not accept a {command!r} request "
+                f"within {self._request_timeout():.3g}s; the backend is now "
+                "unusable — build a new service") from None
+        except OSError as error:
+            # recovery re-sends every in-flight request, this one included
+            self._recover(worker, error)
+            return
         reg = telemetry.active()
         if reg is not None:
-            self._pending_meta.setdefault(worker, deque()).append(
-                (metric or command, time.perf_counter()))
-        self._post(worker, command, payload)
+            reg.counter(f"backend.{self.name}.bytes_sent").inc(len(blob))
 
-    def _finish_timed(self, worker: int):
-        """Collect one reply, recording the command's round-trip latency.
-
-        The recorded latency is the parent's experienced one — post to
-        reply-in-hand, including any queueing behind sibling workers'
-        replies in a pipelined collect.
-        """
-        result = self._finish(worker)
-        pending = self._pending_meta.get(worker)
-        if pending:
-            command, posted = pending.popleft()
-            reg = telemetry.active()
-            if reg is not None:
-                reg.histogram(
-                    f"backend.{self.name}.roundtrip_seconds.{command}",
-                    TIME_EDGES).observe(time.perf_counter() - posted)
+    def _finish(self, worker: int):
+        """Collect the reply of the worker's oldest in-flight request."""
+        self._check_usable()
+        request, logical, metric, posted = self._inflight[worker][0]
+        timeout = self._request_timeout()
+        crashes = 0
+        while True:
+            try:
+                (ok, result), received = self._receive(worker, timeout)
+                break
+            except wire.ConnectionLost as error:
+                # a worker that crashes deterministically on this very
+                # request must not be re-launched forever
+                crashes += 1
+                if crashes > self._max_respawns:
+                    self._broken = True
+                    raise WorkerCrashError(
+                        f"worker {worker} crashed {crashes} times on the "
+                        f"same {request[0]!r} request; the request itself "
+                        "appears to kill it — build a new service"
+                    ) from error
+                self._recover(worker, error)
+            except wire.DeadlineExceeded:
+                self._broken = True
+                raise WorkerTimeoutError(
+                    f"worker {worker} did not reply within {timeout:.3g}s; "
+                    "the backend is now unusable (the late reply would "
+                    "desynchronise the protocol) — build a new service"
+                ) from None
+        self._inflight[worker].popleft()
+        if not ok:
+            # the raising worker's shard state is partially updated and a
+            # replay would re-raise: poison the backend
+            self._broken = True
+            raise WorkerCrashError(
+                f"worker {worker} raised while serving {request[0]!r} "
+                f"(build a new service):\n{result}")
+        if logical[0] in _MUTATING_COMMANDS:
+            self._journals[worker].append(logical)
+        reg = telemetry.active()
+        if reg is not None:
+            # the parent's experienced latency: post to reply-in-hand,
+            # including any queueing behind sibling workers' replies
+            reg.counter(f"backend.{self.name}.bytes_received").inc(received)
+            reg.histogram(
+                f"backend.{self.name}.roundtrip_seconds.{metric}",
+                TIME_EDGES).observe(time.perf_counter() - posted)
         return result
 
     def _request(self, worker: int, command: str, payload=None):
         self.drain_pipeline()
-        self._post_timed(worker, command, payload)
-        result = self._finish_timed(worker)
-        self._after_requests([worker])
+        self._post(worker, command, payload)
+        result = self._finish(worker)
+        self._after_requests()
         return result
 
     def _broadcast(self, command: str, payload=None) -> Dict[int, object]:
         """Send one command to every worker, then collect per-shard replies."""
+        merged: Dict[int, object] = {}
+        for reply in self._gather(command, payload):
+            if reply:
+                merged.update(reply)
+        return merged
+
+    def _gather(self, command: str, payload=None) -> List[object]:
+        """Send one command to every worker; return the replies in order."""
         self.drain_pipeline()
         workers = self._placement.worker_ids
         for worker in workers:
-            self._post_timed(worker, command, payload)
-        merged: Dict[int, object] = {}
-        for worker in workers:
-            reply = self._finish_timed(worker)
-            if reply:
-                merged.update(reply)
-        self._after_requests(workers)
-        return merged
+            self._post(worker, command, payload)
+        replies = [self._finish(worker) for worker in workers]
+        self._after_requests()
+        return replies
+
+    # ------------------------------------------------------------------ #
+    # Supervision: snapshots and recovery
+    # ------------------------------------------------------------------ #
+    def _snapshot_due(self) -> bool:
+        return any(len(self._journals[worker]) >= self._snapshot_every
+                   for worker in self._placement.worker_ids)
+
+    def _after_requests(self) -> None:
+        """Snapshot every idle worker whose journal reached the threshold.
+
+        Runs once per completed operation.  A worker with a pipelined batch
+        still in flight is skipped: its snapshot would answer after that
+        batch and could not be read first.  :meth:`dispatch_begin` collects
+        the pipeline whenever a snapshot is due, so the skip is temporary.
+        """
+        for worker in self._placement.worker_ids:
+            if (len(self._journals[worker]) < self._snapshot_every
+                    or self._inflight[worker]):
+                continue
+            self._post(worker, "snapshot")
+            blob = self._finish(worker)
+            self._snapshots[worker] = blob
+            self._journals[worker] = []
+            reg = telemetry.active()
+            if reg is not None:
+                reg.counter(f"backend.{self.name}.snapshots").inc()
+                reg.gauge(f"backend.{self.name}.snapshot_bytes").set(
+                    len(blob))
+                reg.histogram(f"backend.{self.name}.snapshot_size_bytes",
+                              SIZE_EDGES).observe(len(blob))
+
+    def _recover(self, worker: int, cause: BaseException) -> None:
+        """Re-launch a lost worker and rebuild its shard state.
+
+        Rebuild = last snapshot (or the fresh-start payload) + ordered
+        replay of the journal; then every in-flight request is re-sent in
+        FIFO order, so the caller's pending :meth:`_finish` completes
+        transparently.  Raises :class:`WorkerCrashError` after
+        ``_max_respawns`` failed attempts.
+        """
+        if self._closed:
+            raise WorkerCrashError(
+                f"the {self.name} backend is closed; build a new service"
+            ) from cause
+        self._close_channel(worker)
+        reg = telemetry.active()
+        replayed = len(self._journals[worker])
+        self._log.warning(
+            "worker %d lost (%s: %s); recovering from %s + replay of %d "
+            "journalled command(s)", worker, type(cause).__name__, cause,
+            ("its last snapshot" if self._snapshots[worker] is not None
+             else "a fresh start"), replayed)
+        last_error: BaseException = cause
+        for attempt in range(1, self._max_respawns + 1):
+            if reg is not None:
+                reg.counter(f"backend.{self.name}.respawn_attempts").inc()
+            self._log.warning("worker %d re-spawn/reconnect attempt %d/%d",
+                              worker, attempt, self._max_respawns)
+            try:
+                self._start([worker], from_snapshot=True)
+                self._replay(worker)
+            except AuthenticationError:
+                # the endpoint's token changed under us: retrying cannot
+                # help, and the worker's channel is gone for good
+                self._broken = True
+                raise
+            except (BackendError, wire.ConnectionLost,
+                    wire.DeadlineExceeded, OSError) as error:
+                last_error = error
+                self._close_channel(worker)
+                time.sleep(_RESPAWN_BACKOFF * attempt)
+                continue
+            self.respawns += 1
+            if reg is not None:
+                reg.counter(f"backend.{self.name}.respawns").inc()
+                reg.counter(f"backend.{self.name}.replayed_commands").inc(
+                    replayed)
+            self._log.warning(
+                "worker %d recovered on attempt %d/%d (%d command(s) "
+                "replayed, %d total recoveries)", worker, attempt,
+                self._max_respawns, replayed, self.respawns)
+            return
+        self._broken = True
+        self._log.error("worker %d could not be recovered after %d "
+                        "attempt(s)", worker, self._max_respawns)
+        raise WorkerCrashError(
+            f"worker {worker} is gone and could not be re-spawned after "
+            f"{self._max_respawns} attempt(s); its shards "
+            f"{self._placement.shards_of(worker)} "
+            f"are lost — build a new service (last error: {last_error})"
+        ) from cause
+
+    def _replay(self, worker: int) -> None:
+        """Replay the journal on a re-launched worker, then re-send."""
+        channel = self._channels[worker]
+        span = self._request_timeout()
+        for request in self._journals[worker]:
+            deadline = time.monotonic() + span
+            wire.send_frame(channel, request, deadline=deadline)
+            ok, result = wire.recv_frame(channel, deadline=deadline)
+            if not ok:
+                raise WorkerCrashError(
+                    f"worker {worker} failed replaying {request[0]!r} "
+                    f"after a re-spawn:\n{result}")
+        for request, *_ in self._inflight[worker]:
+            wire.send_frame(channel, request,
+                            deadline=time.monotonic() + span)
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -552,12 +1004,15 @@ class WorkerPoolBackend(ExecutionBackend):
         When the pipeline is full (``pipeline_depth`` tickets in flight),
         the oldest dispatch is collected first — that, together with the
         transport's bounded ring slots, is the backpressure that keeps a
-        fast producer from outrunning the workers.  With an older ticket
+        fast producer from outrunning the workers.  A worker due for its
+        supervision snapshot also collects the pipeline first, since the
+        snapshot waits for the worker to be idle.  With an older ticket
         still in flight, the time spent partitioning and staging here is
         genuine parent/worker overlap, recorded as
         ``backend.<name>.staging_overlap_seconds``.
         """
-        while len(self._pipeline) >= self.pipeline_depth:
+        while self._pipeline and (len(self._pipeline) >= self.pipeline_depth
+                                  or self._snapshot_due()):
             self._collect_oldest()
         reg = telemetry.active()
         overlapping = bool(self._pipeline)
@@ -615,7 +1070,7 @@ class WorkerPoolBackend(ExecutionBackend):
         caller interleaves begin/finish, which keeps the worker-side command
         stream identical to synchronous execution.  On a collection failure
         the ticket is dropped from the pipeline before the error propagates
-        (the transport has already poisoned itself; retrying the collect
+        (the backend has already poisoned itself; retrying the collect
         would read stale replies).
         """
         ticket = self._pipeline[0]
@@ -632,22 +1087,22 @@ class WorkerPoolBackend(ExecutionBackend):
             raise
         self._pipeline.popleft()
         ticket.collected = True
-        self._after_requests(ticket.involved)
+        self._after_requests()
 
     # ------------------------------------------------------------------ #
-    # Dispatch transport hooks (overridden by zero-copy transports)
+    # Dispatch data-path hooks (overridden by the shared-memory rings)
     # ------------------------------------------------------------------ #
     def _post_batch(self, worker: int, ticket: DispatchTicket) -> None:
-        """Send one worker its sub-chunks of a dispatch (pickle default)."""
-        self._post_timed(worker, "batch", ticket.per_worker[worker])
+        """Send one worker its sub-chunks of a dispatch (pickled frame)."""
+        self._post(worker, "batch", ticket.per_worker[worker])
 
     def _collect_batch(self, worker: int,
                        ticket: DispatchTicket) -> Dict[int, np.ndarray]:
         """Collect one worker's ``{shard: outputs}`` reply of a dispatch."""
-        return self._finish_timed(worker)
+        return self._finish(worker)
 
     def _release_batch(self, worker: int, ticket: DispatchTicket) -> None:
-        """Free transport resources once a worker's reply is scattered."""
+        """Free data-path resources once a worker's reply is scattered."""
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -665,30 +1120,24 @@ class WorkerPoolBackend(ExecutionBackend):
             per_worker.setdefault(worker, {})[shard] = count
         involved = sorted(per_worker)
         for worker in involved:
-            self._post_timed(worker, "sample_many", per_worker[worker])
+            self._post(worker, "sample_many", per_worker[worker])
         merged: Dict[int, List[Optional[int]]] = {}
         for worker in involved:
-            merged.update(self._finish_timed(worker))
-        self._after_requests(involved)
+            merged.update(self._finish(worker))
+        self._after_requests()
         return merged
 
     # ------------------------------------------------------------------ #
     # Placement plane: live migration and runtime scaling
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _start_worker(self, worker: int) -> None:
-        """Bring up transport for a new, initially shard-less worker."""
-
-    @abc.abstractmethod
-    def _stop_worker(self, worker: int) -> None:
-        """Tear down transport of a drained (shard-less) worker."""
-
     def add_worker(self) -> int:
         """Grow the pool by one worker; it starts owning no shards."""
         worker = self._placement.add_worker()
+        self._add_slot(worker, [])
         try:
-            self._start_worker(worker)
+            self._start([worker])
         except BaseException:
+            self._halt(worker)
             self._placement.remove_worker(worker)
             raise
         reg = telemetry.active()
@@ -715,7 +1164,9 @@ class WorkerPoolBackend(ExecutionBackend):
             snapshot = self._request(worker, "telemetry", None)
             if snapshot:
                 self._retired_telemetry.append(snapshot)
-        self._stop_worker(worker)
+        self._halt(worker)
+        self._snapshots[worker] = None
+        self._journals[worker] = []
         self._placement.remove_worker(worker)
         if reg is not None:
             reg.counter(f"backend.{self.name}.workers_removed").inc()
@@ -767,13 +1218,8 @@ class WorkerPoolBackend(ExecutionBackend):
         holds its current state, so the next migration ships only what
         changes from here on.
         """
-        self.drain_pipeline()
-        workers = self._placement.worker_ids
-        for worker in workers:
-            self._post_timed(worker, "snapshot_delta", None)
-        for worker in workers:
-            self._shard_states.update(self._finish_timed(worker))
-        self._after_requests(workers)
+        for delta in self._gather("snapshot_delta"):
+            self._shard_states.update(delta)
 
     # ------------------------------------------------------------------ #
     # Inspection and lifecycle
@@ -811,14 +1257,9 @@ class WorkerPoolBackend(ExecutionBackend):
     def snapshot_shards(self) -> bytes:
         # each worker replies with the pickled map of its own shards; the
         # merged map is re-pickled so the caller gets one self-contained blob
-        self.drain_pipeline()
-        workers = self._placement.worker_ids
-        for worker in workers:
-            self._post_timed(worker, "snapshot", None)
         merged: Dict[int, object] = {}
-        for worker in workers:
-            merged.update(pickle.loads(self._finish_timed(worker)))
-        self._after_requests(workers)
+        for blob in self._gather("snapshot"):
+            merged.update(pickle.loads(blob))
         return pickle.dumps(merged, protocol=pickle.HIGHEST_PROTOCOL)
 
     def seed_loads(self, loads: Sequence[int]) -> None:
@@ -835,19 +1276,31 @@ class WorkerPoolBackend(ExecutionBackend):
         handed out and cleared here, so a second harvest cannot re-merge a
         dead worker's counters.
         """
-        self.drain_pipeline()
-        workers = self._placement.worker_ids
-        for worker in workers:
-            self._post_timed(worker, "telemetry", None)
-        snapshots = [self._finish_timed(worker) for worker in workers]
-        self._after_requests(workers)
-        snapshots.extend(self._retired_telemetry)
+        snapshots = self._gather("telemetry") + self._retired_telemetry
         self._retired_telemetry = []
         return snapshots
 
+    def close(self) -> None:
+        if self._closed:
+            return
+        try:
+            # collect in-flight dispatches so their loads are accounted;
+            # best-effort — a crashed worker must not block the close
+            self.drain_pipeline()
+        except Exception:
+            pass
+        self._closed = True
+        self._teardown()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
+        try:
+            self.close()
+        except Exception:
+            pass
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"{type(self).__name__}(shards={self.shards}, "
-                f"workers={self.workers})")
+                f"workers={self.workers}, respawns={self.respawns})")
 
 
 def make_backend(name: str, shards: int, shard_factory: ShardFactory,
@@ -857,8 +1310,6 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
                  endpoints: Optional[Sequence[str]] = None,
                  auth_token: Optional[object] = None,
                  auth_token_file: Optional[str] = None,
-                 transport: Optional[str] = None,
-                 ring_slots: Optional[int] = None,
                  placement: Optional[ShardPlacement] = None
                  ) -> ExecutionBackend:
     """Build the execution backend registered under ``name``.
@@ -876,11 +1327,6 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
         running ``repro worker serve`` instances) and the shared auth token
         (directly, or read from a file).  Without endpoints the socket
         backend spawns supervised localhost workers itself.
-    transport, ring_slots:
-        Process-backend chunk transport: ``"shm"`` stages sub-chunks in
-        per-worker shared-memory rings of ``ring_slots`` slots (the
-        default where shared memory is available), ``"pickle"`` keeps
-        everything in the command pipe.  Rejected for other backends.
     """
     from repro.engine.backends.process import ProcessBackend
     from repro.engine.backends.serial import SerialBackend
@@ -891,15 +1337,6 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
             f"the {name!r} backend runs on this host and takes no "
             "endpoints/auth token; choose backend='socket' for "
             "network-transparent workers")
-    if name != "process" and (transport is not None
-                              or ring_slots is not None):
-        raise ValueError(
-            f"the {name!r} backend takes no transport/ring_slots; the "
-            "shared-memory transport is a process-backend knob")
-    if transport is not None and transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; available: "
-            f"{', '.join(TRANSPORTS)}")
     if name == "serial":
         if workers is not None:
             raise ValueError(
@@ -910,13 +1347,12 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
     if name == "process":
         return ProcessBackend(shards, shard_factory, shard_rngs,
                               workers=workers, worker_timeout=worker_timeout,
-                              transport=transport, ring_slots=ring_slots,
                               placement=placement)
     if name == "socket":
-        from repro.engine.backends.socket import SocketBackend, load_auth_token
+        from repro.engine.backends.socket import SocketBackend
 
         if auth_token is None and auth_token_file is not None:
-            auth_token = load_auth_token(auth_token_file)
+            auth_token = wire.load_auth_token(auth_token_file)
         return SocketBackend(shards, shard_factory, shard_rngs,
                              workers=workers, worker_timeout=worker_timeout,
                              endpoints=endpoints, auth_token=auth_token,

@@ -11,58 +11,53 @@ sub-chunks in one message, the workers ingest them through the ordinary
 batch engine, and the parent scatters the returned outputs back into the
 chunk's arrival order.
 
+Everything but the launch is the shared
+:class:`~repro.engine.backends.base.WorkerPoolBackend`: the request path,
+supervision (a worker killed mid-run is re-forked and rebuilt from its last
+snapshot plus a journal replay) and teardown.  A worker's channel is one
+end of a ``socket.socketpair()`` made before the fork — private to the two
+processes, so it needs no handshake.
+
+Data path: each worker's sub-chunks are staged into a per-worker
+shared-memory ring (:mod:`~repro.engine.backends.shm`) and only a small
+header crosses the channel; the worker answers into the slot's output
+region the same way.  Sub-chunks below ``MIN_SHM_BYTES``, payloads that do
+not fit a slot and hosts without POSIX shared memory fall back to pickled
+frames automatically.  Results are bit-identical either way.
+
 Determinism: the per-shard generators are spawned in the parent (exactly as
-the serial backend consumes them) and shipped to the workers at start-up, so
+the serial backend consumes them) and handed to the workers at start-up, so
 each shard's service is constructed from — and keeps drawing — the same coin
 stream it would in-process.  Per master seed, outputs and merged memory are
 bit-identical to the serial backend's, which the regression tests assert.
 
-Worker protocol: one duplex pipe per worker carrying ``(command, payload)``
-requests and ``(ok, result)`` replies.  ``sample`` / ``sample_many`` /
-``shard_loads`` / ``memory_sizes`` / ``merged_memory`` / ``reset`` are all
-proxied through it; a worker that raises replies with the formatted
-traceback, which the parent re-raises as :class:`BackendError`.  A worker
-that dies or stalls is detected by the reply poll loop
-(:class:`WorkerCrashError` / :class:`WorkerTimeoutError`).
-
 Start method: ``fork`` where available (cheap, and shard factories need not
-be picklable), ``spawn`` otherwise — under ``spawn`` the factory and the
-per-shard generators travel through pickle, so factories must be
-module-level callables such as
+be picklable, since the factory and generators are inherited at fork time),
+``spawn`` otherwise — under ``spawn`` they travel through pickle, so
+factories must be module-level callables such as
 :class:`~repro.engine.sharded.KnowledgeFreeShardFactory`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import time
-import traceback
+import socket
 import uuid
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.backends import base as _base
 from repro.engine.backends import shm as _shm
 from repro.engine.backends.base import (
     ShardFactory,
-    ShardGroup,
     WorkerCrashError,
     WorkerPoolBackend,
-    WorkerTimeoutError,
-    serve_shard_command,
+    reset_signal_handlers,
+    serve_session,
 )
-from repro.engine.backends.shm import ShmRing, ShmRingView
+from repro.engine.backends.shm import ShmRing
 from repro.engine.placement import ShardPlacement
 from repro.telemetry import runtime as telemetry
-
-#: Seconds granted to a worker to build its shard services and report ready.
-_STARTUP_TIMEOUT = 120.0
-
-#: Poll interval of the reply loop (liveness checks between polls).
-_POLL_INTERVAL = 0.05
 
 #: Prefix of the backend's shared-memory ring segments.  Unlink tests (and
 #: an operator staring at ``/dev/shm``) identify leaked segments by it.
@@ -73,73 +68,14 @@ def _ring_name(worker: int) -> str:
     return f"{RING_NAME_PREFIX}-{os.getpid()}-{worker}-{uuid.uuid4().hex[:8]}"
 
 
-def _serve_batch_shm(ring: ShmRingView, services, header):
-    """Serve one zero-copy batch: views in, ordinary ingest, views out.
-
-    Delegates the actual ingestion to the regular ``batch`` interpreter so
-    dirty tracking and the worker-side batch telemetry behave identically
-    on both transports.  The reply echoes the slot and sequence number (the
-    parent verifies them against its ticket) and carries either out-region
-    entries or, when the outputs outgrow the slot, the inlined arrays.
-    """
-    views = ring.read_in(header["slot"], header["entries"], header["dtype"])
-    outputs = serve_shard_command(services, "batch", views)
-    reply = {"slot": header["slot"], "seq": header["seq"]}
-    entries = ring.try_write_out(header["slot"], outputs)
-    if entries is None:  # pragma: no cover - outputs larger than the slot
-        reply["inline"] = outputs
-    else:
-        reply["entries"] = entries
-    return reply
-
-
-def _worker_main(connection, shard_ids: List[int], shard_factory: ShardFactory,
-                 shard_rngs: List[np.random.Generator],
-                 telemetry_enabled: bool = False,
-                 ring_spec: Optional[Tuple[str, int, int]] = None) -> None:
-    """Run one worker: build the assigned shards, then serve the protocol."""
-    ring = None
-    try:
-        if telemetry_enabled:
-            # the worker keeps its own registry (fresh, so a fork-inherited
-            # parent registry is never double-counted); the parent harvests
-            # it over the command channel via the "telemetry" command
-            telemetry.enable_worker()
-        if ring_spec is not None:
-            ring = ShmRingView(*ring_spec)
-        services = ShardGroup({shard: shard_factory(shard, rng)
-                               for shard, rng in zip(shard_ids, shard_rngs)})
-    except BaseException:
-        connection.send((False, traceback.format_exc()))
-        return
-    connection.send((True, shard_ids))
-    while True:
-        try:
-            command, payload = connection.recv()
-        except (EOFError, OSError):
-            break
-        if command == "close":
-            break
-        try:
-            if command == "batch_shm":
-                result = _serve_batch_shm(ring, services, payload)
-            else:
-                result = serve_shard_command(services, command, payload)
-            connection.send((True, result))
-        except BaseException:
-            connection.send((False, traceback.format_exc()))
-    if ring is not None:
-        ring.close()
+def _run_worker(channel: socket.socket, start: Dict[str, Any]) -> None:
+    """Entry point of one worker process: serve its channel until closed."""
+    reset_signal_handlers()
+    serve_session(channel, first=("start", start))
 
 
 class ProcessBackend(WorkerPoolBackend):
-    """Runs shard groups in pinned worker processes.
-
-    The shard-group pool logic (partition/scatter, grouped sampling, load
-    accounting) is inherited from
-    :class:`~repro.engine.backends.base.WorkerPoolBackend`; this class
-    supplies the pipe transport and its fail-fast policy (a dead or stalled
-    worker poisons the backend).
+    """Runs shard groups in supervised, forked worker processes.
 
     Parameters
     ----------
@@ -150,16 +86,6 @@ class ProcessBackend(WorkerPoolBackend):
         Optional per-request timeout in seconds; ``None`` (default) applies
         the generous :data:`~repro.engine.backends.base.DEFAULT_REQUEST_TIMEOUT`
         so a live-but-hung worker cannot block the parent forever.
-    transport:
-        Chunk payload transport: ``"shm"`` stages each worker's sub-chunks
-        into a per-worker shared-memory ring and sends only small headers
-        over the pipe (zero-copy; the default where shared memory is
-        available), ``"pickle"`` serialises payloads into the pipe (the
-        pre-ring behaviour, and the transparent fallback when shared
-        memory is unavailable or a payload does not fit a ring slot).
-        Results are bit-identical either way.
-    ring_slots, slot_bytes:
-        Shared-memory ring geometry per worker (``transport="shm"``).
     """
 
     name = "process"
@@ -172,139 +98,55 @@ class ProcessBackend(WorkerPoolBackend):
                  shard_rngs: Sequence[np.random.Generator], *,
                  workers: Optional[int] = None,
                  worker_timeout: Optional[float] = None,
-                 transport: Optional[str] = None,
-                 ring_slots: Optional[int] = None,
-                 slot_bytes: Optional[int] = None,
                  placement: Optional[ShardPlacement] = None) -> None:
         super().__init__(shards, shard_factory, shard_rngs, workers=workers,
                          worker_timeout=worker_timeout, placement=placement)
-        if transport is not None and transport not in _base.TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; available: "
-                f"{', '.join(_base.TRANSPORTS)}")
-        if ring_slots is not None and ring_slots <= 0:
-            raise ValueError(
-                f"ring_slots must be positive, got {ring_slots}")
-        if transport in (None, "shm") and not _shm.shared_memory_available():
-            # graceful fallback: hosts without POSIX shared memory run the
-            # pickle path transparently (results are identical)
-            transport = "pickle"
-        self.transport = transport or "shm"
-        self._ring_slots = int(ring_slots or _shm.DEFAULT_RING_SLOTS)
-        self._slot_bytes = int(slot_bytes or _shm.DEFAULT_SLOT_BYTES)
-        self._closed = False
-        self._broken = False
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        self._connections: List[object] = []
-        self._processes: List[object] = []
-        self._rings: List[Optional[ShmRing]] = []
-        for worker in self._placement.worker_ids:
-            self._spawn(worker, self._placement.shards_of(worker))
-        try:
-            for worker in self._placement.worker_ids:
-                self._receive(worker, timeout=_STARTUP_TIMEOUT)
-        except BaseException:
-            # a failed startup (shard factory error, startup timeout) must
-            # not leak the sibling workers — or ring segments — already
-            # created
-            self._reap_workers()
-            raise
+        # hosts without POSIX shared memory run the pickled-frame path
+        self._use_shm = _shm.shared_memory_available()
+        #: Per-worker ring, kept across re-launches: a re-forked worker
+        #: attaches to the same segment, so re-sent headers stay valid.
+        self._rings: Dict[int, Optional[ShmRing]] = {}
+        self._start_pool()
 
-    def _spawn(self, worker: int, owned: List[int]) -> None:
-        """Start worker ``worker`` serving ``owned`` (possibly no) shards."""
-        while len(self._connections) <= worker:
-            self._connections.append(None)
-            self._processes.append(None)
-            self._rings.append(None)
-        ring = None
-        if self.transport == "shm":
-            try:
-                ring = ShmRing(self._ring_slots, self._slot_bytes,
-                               name=_ring_name(worker))
-            except (OSError, ValueError):  # pragma: no cover - shm exhausted
-                ring = None  # this worker degrades to the pickle path
-        parent_end, child_end = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(child_end, owned, self._shard_factory,
-                  [self._shard_rngs[shard] for shard in owned],
-                  telemetry.is_enabled(),
-                  ring.spec() if ring is not None else None),
-            daemon=True,
-            name=f"repro-shard-worker-{worker}",
-        )
+    def _launch(self, worker: int, start: Dict[str, Any]) -> socket.socket:
+        if worker not in self._rings:
+            ring = None
+            if self._use_shm:
+                try:
+                    ring = ShmRing(_shm.DEFAULT_RING_SLOTS,
+                                   _shm.DEFAULT_SLOT_BYTES,
+                                   name=_ring_name(worker))
+                except (OSError, ValueError):  # pragma: no cover - shm full
+                    ring = None  # this worker degrades to pickled frames
+            self._rings[worker] = ring
+        if self._rings[worker] is not None:
+            start["ring"] = self._rings[worker].spec()
+        parent_end, child_end = socket.socketpair()
         try:
+            process = self._context.Process(
+                target=_run_worker, args=(child_end, start), daemon=True,
+                name=f"repro-shard-worker-{worker}")
             process.start()
-        except BaseException:  # pragma: no cover - spawn failure
-            if ring is not None:
-                ring.destroy()
+        except BaseException:  # pragma: no cover - fork failure
+            parent_end.close()
             raise
-        child_end.close()
-        self._connections[worker] = parent_end
+        finally:
+            # only the worker may hold its end, so its death reads as EOF
+            child_end.close()
         self._processes[worker] = process
-        self._rings[worker] = ring
+        return parent_end
 
-    # ------------------------------------------------------------------ #
-    # Placement plane (runtime scaling)
-    # ------------------------------------------------------------------ #
-    def _start_worker(self, worker: int) -> None:
-        self._spawn(worker, [])
-        self._receive(worker, timeout=_STARTUP_TIMEOUT)
-
-    def _stop_worker(self, worker: int) -> None:
-        connection = self._connections[worker]
-        process = self._processes[worker]
-        ring = self._rings[worker]
-        self._connections[worker] = None
-        self._processes[worker] = None
-        self._rings[worker] = None
-        try:
-            connection.send(("close", None))
-        except (BrokenPipeError, OSError):
-            pass
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.terminate()
-            process.join(timeout=5.0)
-        try:
-            connection.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+    def _retire(self, worker: int) -> None:
+        ring = self._rings.pop(worker, None)
         if ring is not None:
             ring.destroy()
 
-    def _destroy_rings(self) -> None:
-        """Unlink every ring segment; idempotent, crash-path safe."""
-        for worker, ring in enumerate(self._rings):
-            if ring is not None:
-                self._rings[worker] = None
-                ring.destroy()
-
-    def _reap_workers(self) -> None:
-        """Terminate and join every worker, then close pipes and rings."""
-        for process in self._processes:
-            if process is not None and process.is_alive():
-                process.terminate()
-        for process in self._processes:
-            if process is not None:
-                process.join(timeout=5.0)
-        for connection in self._connections:
-            if connection is None:
-                continue
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._destroy_rings()
-
     # ------------------------------------------------------------------ #
-    # Dispatch transport (shared-memory rings with pickle fallback)
+    # Data path: shared-memory rings with pickled-frame fallback
     # ------------------------------------------------------------------ #
     def _post_batch(self, worker: int, ticket) -> None:
         payload = ticket.per_worker[worker]
-        ring = self._rings[worker] if self.transport == "shm" else None
+        ring = self._rings.get(worker)
         reg = telemetry.active()
         if ring is not None:
             staged = None
@@ -316,22 +158,19 @@ class ProcessBackend(WorkerPoolBackend):
             if staged is not None:
                 staged["seq"] = ticket.seq
                 ticket.transport_state[worker] = staged["slot"]
-                try:
-                    self._post_timed(worker, "batch_shm", staged,
-                                     metric="batch")
-                except BaseException:
-                    ticket.transport_state.pop(worker, None)
-                    ring.release(staged["slot"])
-                    raise
+                # the journal keeps the arrays, not the header: the slot is
+                # reused long before a replay could read it
+                self._post(worker, "batch_shm", staged,
+                           logical=("batch", payload), metric="batch")
                 if reg is not None:
                     reg.counter("backend.process.shm_bytes_sent").inc(size)
                 return
             if reg is not None:
                 reg.counter("backend.process.shm_fallbacks").inc()
-        self._post_timed(worker, "batch", payload)
+        self._post(worker, "batch", payload)
 
     def _collect_batch(self, worker: int, ticket):
-        reply = self._finish_timed(worker)
+        reply = self._finish(worker)
         slot = ticket.transport_state.get(worker)
         if slot is None:
             return reply
@@ -354,134 +193,6 @@ class ProcessBackend(WorkerPoolBackend):
 
     def _release_batch(self, worker: int, ticket) -> None:
         slot = ticket.transport_state.pop(worker, None)
-        if slot is not None and self._rings[worker] is not None:
-            self._rings[worker].release(slot)
-
-    # ------------------------------------------------------------------ #
-    # Transport primitives (the WorkerPoolBackend contract)
-    # ------------------------------------------------------------------ #
-    def _post(self, worker: int, command: str, payload=None) -> None:
-        if self._closed:
-            raise WorkerCrashError(
-                "the process backend is closed; build a new service")
-        if self._broken:
-            raise WorkerCrashError(
-                "a previous worker failure desynchronised the worker "
-                "protocol (a reply may still be in flight); build a new "
-                "service")
-        try:
-            reg = telemetry.active()
-            if reg is None:
-                self._connections[worker].send((command, payload))
-            else:
-                # pickle explicitly so the wire volume is observable;
-                # Connection.send is send_bytes(pickled object), so this is
-                # wire-compatible with the plain path and pickles only once
-                blob = pickle.dumps((command, payload),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                self._connections[worker].send_bytes(blob)
-                reg.counter("backend.process.bytes_sent").inc(len(blob))
-        except (BrokenPipeError, OSError) as error:
-            self._broken = True
-            raise WorkerCrashError(
-                f"worker {worker} is gone (pipe closed while sending "
-                f"{command!r}): {error}") from error
-
-    def _receive(self, worker: int, *, timeout: Optional[float] = None):
-        if self._broken:
-            # a pipelined collect after a failure would read the stale
-            # replies the failed operation left in the pipes
-            raise WorkerCrashError(
-                "a previous worker failure desynchronised the worker "
-                "protocol (a reply may still be in flight); build a new "
-                "service")
-        connection = self._connections[worker]
-        process = self._processes[worker]
-        timeout = self.worker_timeout if timeout is None else timeout
-        if timeout is None:
-            # without a configured worker_timeout, a live-but-hung worker
-            # must still surface as WorkerTimeoutError rather than blocking
-            # the parent forever (the liveness check only catches death)
-            timeout = _base.DEFAULT_REQUEST_TIMEOUT
-        deadline = time.monotonic() + timeout
-        # Any failure below leaves this request's reply (or a sibling
-        # worker's reply collected by the same dispatch/broadcast) unread in
-        # a pipe; mark the backend broken so later requests fail fast
-        # instead of consuming a stale reply.
-        while not connection.poll(_POLL_INTERVAL):
-            if not process.is_alive():
-                self._broken = True
-                raise WorkerCrashError(
-                    f"worker {worker} died (exit code "
-                    f"{process.exitcode}) before replying; its shards "
-                    f"{self._placement.shards_of(worker)} "
-                    "are lost — build a new service to recover")
-            if time.monotonic() > deadline:
-                self._broken = True
-                raise WorkerTimeoutError(
-                    f"worker {worker} did not reply within {timeout:.3g}s; "
-                    "the backend is now unusable (the late reply would "
-                    "desynchronise the protocol) — build a new service")
-        try:
-            reg = telemetry.active()
-            if reg is None:
-                ok, result = connection.recv()
-            else:
-                blob = connection.recv_bytes()
-                reg.counter("backend.process.bytes_received").inc(len(blob))
-                ok, result = pickle.loads(blob)
-        except (EOFError, OSError) as error:
-            self._broken = True
-            raise WorkerCrashError(
-                f"worker {worker} closed its pipe mid-reply: {error}"
-            ) from error
-        if not ok:
-            # mid-collection, sibling workers' replies are still queued, and
-            # the raising worker's shard state is partially updated — poison
-            # the backend rather than risk serving stale replies
-            self._broken = True
-            raise WorkerCrashError(
-                f"worker {worker} raised while serving a request (build a "
-                f"new service):\n{result}")
-        return result
-
-    def _finish(self, worker: int):
-        return self._receive(worker)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        if self._closed:
-            return
-        try:
-            # collect in-flight dispatches so their loads are accounted;
-            # best-effort — a crashed worker must not block the close
-            self.drain_pipeline()
-        except Exception:
-            pass
-        self._closed = True
-        for connection in self._connections:
-            if connection is None:
-                continue
-            try:
-                connection.send(("close", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._processes:
-            if process is None:
-                continue
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=5.0)
-        for connection in self._connections:
-            if connection is not None:
-                connection.close()
-        self._destroy_rings()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        ring = self._rings.get(worker)
+        if slot is not None and ring is not None:
+            ring.release(slot)

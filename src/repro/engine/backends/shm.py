@@ -1,14 +1,15 @@
-"""Shared-memory ring buffers for the zero-copy worker transport.
+"""Shared-memory ring buffers: the process backend's zero-copy data path.
 
-The process backend's default wire format pickles every hash-partitioned
-sub-chunk into the command pipe — one full copy on each side of the fork.
-This module provides the alternative: a per-worker ring of fixed-size slots
-in a ``multiprocessing.shared_memory`` segment.  The parent stages each
-worker's sub-chunk arrays directly into a free slot and sends only a small
-header (slot, offsets, lengths, dtype, sequence number) over the existing
-command channel; the worker reconstructs ``np.ndarray`` views over the same
-pages with zero copies and writes its result arrays into the slot's paired
-output region the same way.
+A pickled frame carries every hash-partitioned sub-chunk through the worker
+channel — one full copy on each side of the fork.  This module provides the
+alternative the process backend uses by default: a per-worker ring of
+fixed-size slots in a ``multiprocessing.shared_memory`` segment.  The
+parent stages each worker's sub-chunk arrays directly into a free slot and
+sends only a small header (slot, offsets, lengths, dtype, sequence number)
+over the worker's channel; the worker reconstructs ``np.ndarray`` views
+over the same pages with zero copies and writes its result arrays into the
+slot's paired output region the same way.  A worker re-forked after a
+crash attaches to the same segment, so re-sent headers stay valid.
 
 Layout of one segment (sized ``2 * slots * slot_bytes``)::
 

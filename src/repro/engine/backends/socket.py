@@ -1,36 +1,22 @@
 """Network-transparent execution backend: shard groups behind TCP sockets.
 
-The worker protocol was already message-shaped (``batch`` / ``sample`` /
-``sample_many`` / ``loads`` / ``memory_sizes`` / ``memory`` / ``reset``);
-this module gives it a transport that crosses machine boundaries, so one
-sampler ensemble can span hosts:
+One sampler ensemble can span hosts: each worker of the pool is a TCP
+connection carrying the shared frame codec of
+:mod:`~repro.engine.backends.wire`, authenticated with a mutual HMAC
+challenge–response over a shared token before either side deserialises a
+single pickle frame.
 
-* **Framing** — every message is a length-prefixed pickle frame over TCP
-  (8-byte big-endian length, then the payload).  Authentication is a mutual
-  HMAC challenge–response over the shared token: both sides exchange raw
-  nonces and prove knowledge of the token with ``HMAC(token, nonces)``
-  digests before either side deserialises a single pickle frame — the
-  token itself never crosses the wire, a port squatter cannot reach the
-  parent's unpickler, and the server compares digests in constant time.
-  (The stream is still plaintext TCP: an active on-path attacker can
-  hijack an authenticated session, so run workers inside a trusted
-  network.)
 * **Worker server** — :class:`WorkerServer` (the ``repro worker serve``
   CLI subcommand) listens on ``host:port`` and serves each authenticated
-  connection as one shard-group worker: a ``start`` message ships the shard
-  ids plus the per-shard generators spawned in the parent (or a state
-  snapshot, see below), then the connection proxies the ordinary command
-  set through :func:`~repro.engine.backends.base.serve_shard_command` — the
-  same interpreter the process backend's pipe workers run, so outputs,
-  merged memory, loads and samples stay bit-identical to the serial backend
-  per master seed.
-* **Supervision** — :class:`SocketBackend` journals every state-mutating
-  command per worker and periodically collects a state *snapshot*
-  (pickled shard services: generator state + sampling memory + sketches).
-  When a worker connection dies, the supervisor re-spawns/reconnects it and
-  deterministically rebuilds its shards from the last snapshot plus a
-  bounded replay of the journalled commands — a crash degrades to a bounded
-  replay instead of poisoning the whole service.
+  connection as one shard-group worker through the same session loop the
+  process backend's workers run
+  (:func:`~repro.engine.backends.base.serve_session`), so outputs, merged
+  memory, loads and samples stay bit-identical to the serial backend per
+  master seed.
+* **Supervision** — inherited from
+  :class:`~repro.engine.backends.base.WorkerPoolBackend`: when a worker
+  connection dies, the pool re-spawns/reconnects it and rebuilds its shards
+  from the last state snapshot plus a bounded journal replay.
 
 Two deployment modes:
 
@@ -49,319 +35,64 @@ Two deployment modes:
 
 from __future__ import annotations
 
-import hmac
-import logging
-import multiprocessing
-import pickle
 import secrets
 import selectors
 import socket
-import struct
 import threading
 import time
-import traceback
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.backends import base as _base
+from repro.engine.backends import wire
 from repro.engine.backends.base import (
-    AuthenticationError,
     ShardFactory,
-    ShardGroup,
     WorkerCrashError,
     WorkerPoolBackend,
-    WorkerTimeoutError,
-    serve_shard_command,
+    reset_signal_handlers,
+    serve_session,
 )
 from repro.engine.placement import ShardPlacement
-from repro.telemetry import runtime as telemetry
-from repro.telemetry.registry import SIZE_EDGES
 
-#: Supervisor lifecycle logger (`repro run --log-level WARNING` surfaces
-#: re-spawn/reconnect recoveries without any telemetry machinery).
-_LOG = logging.getLogger("repro.engine.backends.socket")
-
-__all__ = ["SocketBackend", "WorkerServer", "load_auth_token",
-           "parse_endpoint"]
-
-#: Seconds granted to a worker to build its shard services and report ready.
-_STARTUP_TIMEOUT = 120.0
+__all__ = ["SocketBackend", "WorkerServer", "serve_worker_connection"]
 
 #: Seconds granted to the TCP connect + auth handshake.
 _CONNECT_TIMEOUT = 10.0
 
-#: Granularity of the receive poll loop (liveness checks between slices).
-_POLL_INTERVAL = 0.05
-
 #: Seconds granted to a freshly spawned local worker to report its port.
 _LOCAL_SPAWN_TIMEOUT = 30.0
-
-#: Base backoff between re-spawn/reconnect attempts (grows linearly).
-_RESPAWN_BACKOFF = 0.1
-
-#: Upper bound on the raw handshake frames (read before authentication).
-_MAX_TOKEN_FRAME = 4096
-
-#: Size of the handshake nonces and HMAC-SHA256 digests.
-_NONCE_SIZE = 32
-_DIGEST_SIZE = 32
-
-#: Seconds a server grants an unauthenticated connection to finish the
-#: handshake (bounds how long a port scanner can pin a handler thread).
-_HANDSHAKE_TIMEOUT = 30.0
-
-#: Commands that mutate worker-side shard state and must be journalled for
-#: deterministic replay after a crash.  ``migrate_in``/``migrate_out`` ride
-#: along so a replay reconstructs shard-membership changes exactly (the
-#: shipped state blobs are journalled verbatim); ``snapshot_delta`` is
-#: deliberately absent — it only clears dirty flags, and a rebuilt worker
-#: starts all-dirty, which is the conservative-safe default.
-_MUTATING_COMMANDS = frozenset({"batch", "sample", "sample_many", "reset",
-                                "migrate_in", "migrate_out"})
-
-_LENGTH = struct.Struct(">Q")
-
-
-class _ConnectionLost(Exception):
-    """Internal: the peer closed or reset the connection mid-frame."""
-
-
-class _DeadlineExceeded(Exception):
-    """Internal: a frame did not arrive within the request deadline."""
-
-
-# --------------------------------------------------------------------- #
-# Endpoint / token helpers
-# --------------------------------------------------------------------- #
-def parse_endpoint(text: Union[str, Tuple[str, int]], *,
-                   allow_port_zero: bool = False) -> Tuple[str, int]:
-    """Parse a ``host:port`` string into a ``(host, port)`` pair.
-
-    ``allow_port_zero`` admits port 0 (listen sockets pick a free port);
-    connect endpoints must name a concrete port.
-    """
-    if isinstance(text, tuple):
-        host, port = text
-    else:
-        host, separator, port = str(text).rpartition(":")
-        if not separator or not host:
-            raise ValueError(
-                f"endpoint must look like 'host:port', got {text!r}")
-    try:
-        port = int(port)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"endpoint {text!r} has a non-integer port") from None
-    lowest = 0 if allow_port_zero else 1
-    if not lowest <= port <= 65535:
-        raise ValueError(
-            f"endpoint {text!r} has an out-of-range port {port}")
-    return str(host), port
-
-
-def load_auth_token(path) -> bytes:
-    """Read a shared auth token from a file (stripped, non-empty)."""
-    with open(path, "rb") as handle:
-        token = handle.read().strip()
-    if not token:
-        raise ValueError(f"auth token file {path!r} is empty")
-    return token
-
-
-def _token_bytes(token: Union[str, bytes]) -> bytes:
-    if isinstance(token, str):
-        token = token.encode("utf-8")
-    if not isinstance(token, bytes) or not token:
-        raise ValueError("auth token must be a non-empty str or bytes")
-    return token
-
-
-# --------------------------------------------------------------------- #
-# Frame plumbing
-# --------------------------------------------------------------------- #
-def _recv_exact(connection: socket.socket, count: int,
-                deadline: Optional[float]) -> bytes:
-    """Read exactly ``count`` bytes, polling so a deadline can interrupt."""
-    chunks = bytearray()
-    while len(chunks) < count:
-        if deadline is None:
-            connection.settimeout(None)
-        else:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _DeadlineExceeded()
-            connection.settimeout(min(_POLL_INTERVAL, remaining))
-        try:
-            data = connection.recv(count - len(chunks))
-        except socket.timeout:
-            continue
-        except OSError as error:
-            raise _ConnectionLost(str(error)) from error
-        if not data:
-            raise _ConnectionLost("connection closed by peer")
-        chunks += data
-    return bytes(chunks)
-
-
-def _send_raw_frame(connection: socket.socket, payload: bytes, *,
-                    deadline: Optional[float] = None) -> None:
-    """Send one frame, polling so a deadline can interrupt a stalled peer.
-
-    Without a deadline the send blocks (server side); with one, a peer
-    whose receive buffer stays full past the deadline raises
-    :class:`_DeadlineExceeded` instead of wedging the caller — the send
-    path gets the same hung-worker guarantee as the reply loop.
-    """
-    data = memoryview(_LENGTH.pack(len(payload)) + payload)
-    while data:
-        if deadline is None:
-            connection.settimeout(None)
-        else:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _DeadlineExceeded()
-            connection.settimeout(min(_POLL_INTERVAL, remaining))
-        try:
-            sent = connection.send(data)
-        except socket.timeout:
-            continue
-        data = data[sent:]
-
-
-def _send_frame(connection: socket.socket, message, *,
-                deadline: Optional[float] = None) -> int:
-    """Pickle and send one frame; returns the payload size in bytes."""
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    _send_raw_frame(connection, blob, deadline=deadline)
-    return len(blob)
-
-
-def _recv_raw_frame(connection: socket.socket, *,
-                    deadline: Optional[float] = None,
-                    limit: Optional[int] = None) -> bytes:
-    (length,) = _LENGTH.unpack(_recv_exact(connection, _LENGTH.size, deadline))
-    if limit is not None and length > limit:
-        raise _ConnectionLost(
-            f"oversized frame ({length} bytes, limit {limit})")
-    return _recv_exact(connection, length, deadline)
-
-
-def _recv_frame(connection: socket.socket, *,
-                deadline: Optional[float] = None):
-    return pickle.loads(_recv_raw_frame(connection, deadline=deadline))
-
-
-def _recv_frame_sized(connection: socket.socket, *,
-                      deadline: Optional[float] = None):
-    """Like :func:`_recv_frame` but also returns the payload byte count."""
-    blob = _recv_raw_frame(connection, deadline=deadline)
-    return pickle.loads(blob), len(blob)
-
-
-def _handshake_mac(token: bytes, role: bytes, client_nonce: bytes,
-                   server_nonce: bytes) -> bytes:
-    """HMAC-SHA256 proof of token knowledge, bound to both nonces."""
-    return hmac.new(token, role + client_nonce + server_nonce,
-                    "sha256").digest()
 
 
 # --------------------------------------------------------------------- #
 # Worker (server) side
 # --------------------------------------------------------------------- #
-def _build_services(payload: Dict[str, object]) -> Dict[int, object]:
-    """Build the shard-service map of one worker from a ``start`` payload.
-
-    Fresh starts ship the shard factory plus the per-shard generators
-    spawned in the parent (the determinism root: each shard keeps drawing
-    the coin stream the serial backend would consume).  Restores ship a
-    state snapshot instead — the pickled services as they were at the last
-    snapshot point — so the supervisor can rebuild a crashed worker and
-    replay only the commands issued since.
-    """
-    blob = payload.get("services_blob")
-    if blob is not None:
-        restored = pickle.loads(blob)
-        services = ShardGroup({int(shard): service
-                               for shard, service in restored.items()})
-        if isinstance(restored, ShardGroup):
-            # the snapshot's dirty bookkeeping is correct for its state;
-            # replayed mutations re-mark their shards on top of it
-            services.dirty = {int(shard) for shard in restored.dirty}
-        return services
-    shard_ids = payload["shard_ids"]
-    factory = payload["factory"]
-    shard_rngs = pickle.loads(payload["rngs_blob"])
-    return ShardGroup({int(shard): factory(int(shard), rng)
-                       for shard, rng in zip(shard_ids, shard_rngs)})
-
-
 def serve_worker_connection(connection: socket.socket,
                             token: bytes) -> None:
     """Serve one authenticated worker session until the peer disconnects.
 
-    The session opens with a mutual HMAC challenge–response over the shared
-    token (raw frames only; nothing is unpickled before the peer proves
-    token knowledge, and digests are compared in constant time).  After the
-    ``start`` message builds the shard services, every request is executed
-    through :func:`serve_shard_command`; a request that raises replies with
-    the formatted traceback instead of killing the session.
+    The session opens with the server side of the mutual handshake (raw
+    frames only; nothing is unpickled before the peer proves token
+    knowledge, and an unauthenticated peer learns nothing, not even an
+    error), then runs :func:`~repro.engine.backends.base.serve_session`.
     """
+    deadline = time.monotonic() + wire.HANDSHAKE_TIMEOUT
     try:
-        handshake_deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
-        try:
-            client_nonce = _recv_raw_frame(connection,
-                                           deadline=handshake_deadline,
-                                           limit=_MAX_TOKEN_FRAME)
-            if len(client_nonce) != _NONCE_SIZE:
-                return
-            server_nonce = secrets.token_bytes(_NONCE_SIZE)
-            _send_raw_frame(
-                connection,
-                server_nonce + _handshake_mac(token, b"server",
-                                              client_nonce, server_nonce),
-                deadline=handshake_deadline)
-            client_mac = _recv_raw_frame(connection,
-                                         deadline=handshake_deadline,
-                                         limit=_MAX_TOKEN_FRAME)
-        except (_ConnectionLost, _DeadlineExceeded, struct.error):
+        client_nonce = wire.recv_raw_frame(
+            connection, deadline=deadline, limit=wire.MAX_HANDSHAKE_FRAME)
+        challenge = wire.server_challenge(token, client_nonce)
+        if challenge is None:
             return
-        if not hmac.compare_digest(
-                client_mac, _handshake_mac(token, b"client", client_nonce,
-                                           server_nonce)):
-            # an unauthenticated peer learns nothing, not even an error
+        server_nonce, frame = challenge
+        wire.send_raw_frame(connection, frame, deadline=deadline)
+        client_mac = wire.recv_raw_frame(
+            connection, deadline=deadline, limit=wire.MAX_HANDSHAKE_FRAME)
+        if not wire.server_verify(token, client_nonce, server_nonce,
+                                  client_mac):
             return
-        _send_frame(connection, (True, "ok"))
-        services: Optional[Dict[int, object]] = None
-        while True:
-            try:
-                command, payload = _recv_frame(connection)
-            except (_ConnectionLost, pickle.UnpicklingError, struct.error):
-                return
-            if command == "close":
-                return
-            try:
-                if command == "start":
-                    if payload.get("telemetry"):
-                        # fresh per-session registry: a fork-inherited (or
-                        # previous-session) registry must not leak into the
-                        # snapshot the parent harvests via "telemetry"
-                        telemetry.enable_worker()
-                    services = _build_services(payload)
-                    result = sorted(services)
-                elif services is None:
-                    raise RuntimeError(
-                        f"protocol error: {command!r} before 'start'")
-                else:
-                    result = serve_shard_command(services, command, payload)
-                _send_frame(connection, (True, result))
-            except BaseException:
-                try:
-                    _send_frame(connection, (False, traceback.format_exc()))
-                except OSError:
-                    return
-    except (BrokenPipeError, ConnectionError, OSError):
+        wire.send_frame(connection, (True, "ok"))
+    except (wire.ConnectionLost, wire.DeadlineExceeded, OSError):
         return
+    serve_session(connection)
 
 
 class WorkerServer:
@@ -376,7 +107,7 @@ class WorkerServer:
 
     def __init__(self, host: str, port: int, token: Union[str, bytes], *,
                  backlog: int = 16) -> None:
-        self._token = _token_bytes(token)
+        self._token = wire.token_bytes(token)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -519,21 +250,7 @@ def _local_worker_main(host: str, token: bytes, report) -> None:
     kills the worker (which is exactly what the supervisor's re-spawn tests
     rely on).
     """
-    # A fork start method inherits the parent's signal dispositions.  When
-    # the parent is ``repro serve``, SIGTERM/SIGINT are wired to its drain
-    # handler — inherited here, they would make the worker ignore the
-    # supervisor's ``terminate()`` and outlive the parent.  Reset to the
-    # defaults so a terminated worker actually dies.
-    import signal as _signal
-    for _signum in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            _signal.signal(_signum, _signal.SIG_DFL)
-        except (OSError, ValueError):  # pragma: no cover - exotic platforms
-            pass
-    try:
-        _signal.set_wakeup_fd(-1)
-    except (OSError, ValueError):  # pragma: no cover - non-main thread
-        pass
+    reset_signal_handlers()
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((host, 0))
@@ -546,23 +263,14 @@ def _local_worker_main(host: str, token: bytes, report) -> None:
         try:
             serve_worker_connection(connection, token)
         finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
+            connection.close()
 
 
 # --------------------------------------------------------------------- #
 # Parent (client) side
 # --------------------------------------------------------------------- #
 class SocketBackend(WorkerPoolBackend):
-    """Runs shard groups behind length-prefixed TCP worker connections.
-
-    The shard-group pool logic (partition/scatter, grouped sampling, load
-    accounting) is inherited from
-    :class:`~repro.engine.backends.base.WorkerPoolBackend`; this class
-    supplies the TCP transport and its supervision policy (a dead
-    connection triggers re-spawn/reconnect + snapshot/journal rebuild).
+    """Runs shard groups behind authenticated TCP worker connections.
 
     Parameters
     ----------
@@ -581,12 +289,6 @@ class SocketBackend(WorkerPoolBackend):
         Shared secret both sides prove knowledge of during the connect
         handshake (never transmitted).  Required with ``endpoints``;
         generated ephemerally in local mode when omitted.
-    snapshot_every:
-        Collect a worker state snapshot after this many state-mutating
-        commands — the bound on how much a crashed worker has to replay.
-    max_respawns:
-        Re-spawn/reconnect attempts per failure before the worker is
-        declared lost (:class:`WorkerCrashError`).
     host:
         Interface local workers bind (default loopback).
     """
@@ -599,25 +301,16 @@ class SocketBackend(WorkerPoolBackend):
                  worker_timeout: Optional[float] = None,
                  endpoints: Optional[Sequence] = None,
                  auth_token: Optional[Union[str, bytes]] = None,
-                 snapshot_every: int = 32,
-                 max_respawns: int = 3,
                  host: str = "127.0.0.1",
                  placement: Optional[ShardPlacement] = None) -> None:
         super().__init__(shards, shard_factory, shard_rngs, workers=workers,
                          worker_timeout=worker_timeout, placement=placement)
-        if snapshot_every <= 0:
-            raise ValueError(
-                f"snapshot_every must be positive, got {snapshot_every}")
-        if max_respawns <= 0:
-            raise ValueError(
-                f"max_respawns must be positive, got {max_respawns}")
-        self._snapshot_every = int(snapshot_every)
-        self._max_respawns = int(max_respawns)
         self._host = host
         self._local = endpoints is None
         if self._local:
             token = auth_token if auth_token is not None \
                 else secrets.token_hex(32)
+            self._endpoint_pool: List[Tuple[str, int]] = []
         else:
             if not endpoints:
                 raise ValueError("endpoints must be a non-empty sequence")
@@ -627,66 +320,16 @@ class SocketBackend(WorkerPoolBackend):
                     "auth_token= or auth_token_file=; the workers were "
                     "started with `repro worker serve --auth-token-file`)")
             token = auth_token
-        self._token = _token_bytes(token)
-        self._closed = False
-        self._broken = False
-        #: Successful worker re-spawn/reconnect recoveries (supervision
-        #: telemetry; the crash tests assert it advanced).
-        self.respawns = 0
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        if self._local:
-            self._endpoint_pool: List[Tuple[str, int]] = []
-            self._endpoints: List[Optional[Tuple[str, int]]] = \
-                [None] * self.workers
-        else:
-            self._endpoint_pool = [parse_endpoint(endpoint)
+            self._endpoint_pool = [wire.parse_endpoint(endpoint)
                                    for endpoint in endpoints]
-            self._endpoints = [self._endpoint_pool[worker
-                                                   % len(self._endpoint_pool)]
-                               for worker in range(self.workers)]
-        self._processes: List[Optional[multiprocessing.Process]] = \
-            [None] * self.workers
-        self._sockets: List[Optional[socket.socket]] = [None] * self.workers
-        # Fresh-start payload per worker slot, frozen at slot creation: the
-        # shard ids the slot owned then, the factory, and the per-shard
-        # generators pickled before any draw (the parent never advances
-        # them, so a pre-snapshot re-spawn rebuilds the exact initial
-        # state — including shards later migrated away, which a replayed
-        # ``migrate_out`` then removes again).
-        self._fresh_starts: List[Dict[str, object]] = []
-        for worker in self._placement.worker_ids:
-            owned = self._placement.shards_of(worker)
-            self._fresh_starts.append({
-                "shard_ids": owned,
-                "factory": shard_factory,
-                "rngs_blob": pickle.dumps(
-                    [shard_rngs[shard] for shard in owned],
-                    protocol=pickle.HIGHEST_PROTOCOL),
-            })
-        self._snapshots: List[Optional[bytes]] = [None] * self.workers
-        self._snapshot_times: List[Optional[float]] = [None] * self.workers
-        self._journals: List[List[tuple]] = [[] for _ in range(self.workers)]
-        self._mutations: List[int] = [0] * self.workers
-        self._inflight: List[Optional[tuple]] = [None] * self.workers
-        try:
-            for worker in self._placement.worker_ids:
-                if self._local:
-                    self._spawn_local(worker)
-                self._sockets[worker] = self._establish(worker)
-        except BaseException:
-            # do not leak live worker processes / sockets when one shard
-            # group fails to come up (the same guarantee the process
-            # backend's constructor makes)
-            self._teardown_transport()
-            raise
+        self._token = wire.token_bytes(token)
+        self._start_pool()
 
-    # ------------------------------------------------------------------ #
-    # Transport lifecycle
-    # ------------------------------------------------------------------ #
-    def _spawn_local(self, worker: int) -> None:
-        """Start (or restart) the supervised local process of one worker."""
+    def _spawn_local(self, worker: int) -> Tuple[str, int]:
+        """Start the supervised local process of one worker slot.
+
+        Returns the ephemeral endpoint the process reports it listens on.
+        """
         receive_end, send_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_local_worker_main,
@@ -696,405 +339,44 @@ class SocketBackend(WorkerPoolBackend):
         )
         process.start()
         send_end.close()
+        self._processes[worker] = process
         try:
             if not receive_end.poll(_LOCAL_SPAWN_TIMEOUT):
                 raise WorkerCrashError(
                     f"local socket worker {worker} did not report its port "
                     f"within {_LOCAL_SPAWN_TIMEOUT:.0f}s")
-            endpoint = tuple(receive_end.recv())
+            return tuple(receive_end.recv())
         except (EOFError, OSError) as error:
-            process.terminate()
-            process.join(timeout=5.0)
             raise WorkerCrashError(
                 f"local socket worker {worker} died while binding its "
                 f"port: {error}") from error
         finally:
             receive_end.close()
-        self._processes[worker] = process
-        self._endpoints[worker] = endpoint
 
-    def _establish(self, worker: int, *,
-                   from_snapshot: bool = False) -> socket.socket:
-        """Connect, authenticate, and start one worker's shard services.
+    def _launch(self, worker: int, start: Dict[str, Any]) -> socket.socket:
+        """Connect, authenticate, and send one worker its ``start``.
 
         Mutual authentication: the endpoint must prove knowledge of the
-        shared token (HMAC over exchanged nonces) before this side
-        deserialises anything it sends — a mistyped endpoint or a port
-        squatter surfaces as :class:`AuthenticationError`, not as a pickle
-        of attacker-controlled bytes.
+        shared token before this side deserialises anything it sends — a
+        mistyped endpoint or a port squatter surfaces as
+        :class:`AuthenticationError`, not as a pickle of attacker-controlled
+        bytes.
         """
-        host, port = self._endpoints[worker]
+        if self._local:
+            host, port = self._spawn_local(worker)
+        else:
+            host, port = self._endpoint_pool[worker
+                                             % len(self._endpoint_pool)]
         connection = socket.create_connection((host, port),
                                               timeout=_CONNECT_TIMEOUT)
         try:
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            deadline = time.monotonic() + _CONNECT_TIMEOUT
-            client_nonce = secrets.token_bytes(_NONCE_SIZE)
-            _send_raw_frame(connection, client_nonce, deadline=deadline)
-            reply = _recv_raw_frame(connection, deadline=deadline,
-                                    limit=_MAX_TOKEN_FRAME)
-            server_nonce = reply[:_NONCE_SIZE]
-            expected = _handshake_mac(self._token, b"server", client_nonce,
-                                      server_nonce)
-            if (len(reply) != _NONCE_SIZE + _DIGEST_SIZE
-                    or not hmac.compare_digest(reply[_NONCE_SIZE:],
-                                               expected)):
-                raise AuthenticationError(
-                    f"worker endpoint {host}:{port} failed to prove "
-                    "knowledge of the shared auth token (wrong token, or "
-                    "not a repro worker server)")
-            _send_raw_frame(
-                connection,
-                _handshake_mac(self._token, b"client", client_nonce,
-                               server_nonce),
-                deadline=deadline)
-            ok, detail = _recv_frame(connection, deadline=deadline)
-            if not ok:
-                raise AuthenticationError(
-                    f"worker endpoint {host}:{port} rejected the "
-                    f"session: {detail}")
-            payload = dict(self._fresh_starts[worker])
-            if from_snapshot and self._snapshots[worker] is not None:
-                payload = {"shard_ids": payload["shard_ids"],
-                           "services_blob": self._snapshots[worker]}
-            if telemetry.is_enabled():
-                payload["telemetry"] = True
-            deadline = time.monotonic() + _STARTUP_TIMEOUT
-            _send_frame(connection, ("start", payload), deadline=deadline)
-            ok, result = _recv_frame(connection, deadline=deadline)
-            if not ok:
-                raise WorkerCrashError(
-                    f"worker {worker} ({host}:{port}) failed to build its "
-                    f"shards:\n{result}")
-            return connection
-        except _DeadlineExceeded:
-            connection.close()
-            raise WorkerTimeoutError(
-                f"worker {worker} ({host}:{port}) did not finish its "
-                "startup handshake in time") from None
-        except _ConnectionLost as error:
-            connection.close()
-            raise WorkerCrashError(
-                f"worker {worker} ({host}:{port}) dropped the connection "
-                f"during startup: {error}") from error
+            wire.client_handshake(connection, self._token,
+                                  timeout=_CONNECT_TIMEOUT,
+                                  peer=f"worker endpoint {host}:{port}")
+            wire.send_frame(connection, ("start", start),
+                            deadline=time.monotonic() + _CONNECT_TIMEOUT)
         except BaseException:
             connection.close()
             raise
-
-    def _teardown_transport(self) -> None:
-        """Close every socket and terminate every owned worker process."""
-        for worker, connection in enumerate(self._sockets):
-            if connection is None:
-                continue
-            try:
-                connection.close()
-            except OSError:
-                pass
-            self._sockets[worker] = None
-        for worker, process in enumerate(self._processes):
-            if process is None:
-                continue
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM blocked
-                process.kill()
-                process.join(timeout=5.0)
-            self._processes[worker] = None
-
-    # ------------------------------------------------------------------ #
-    # Placement plane (runtime scaling)
-    # ------------------------------------------------------------------ #
-    def _start_worker(self, worker: int) -> None:
-        while len(self._sockets) <= worker:
-            slot = len(self._sockets)
-            self._processes.append(None)
-            self._sockets.append(None)
-            self._endpoints.append(
-                None if self._local else
-                self._endpoint_pool[slot % len(self._endpoint_pool)])
-            # a runtime-added worker starts shard-less; journalled
-            # migrate_in commands rebuild whatever it later receives
-            self._fresh_starts.append({
-                "shard_ids": [],
-                "factory": self._shard_factory,
-                "rngs_blob": pickle.dumps(
-                    [], protocol=pickle.HIGHEST_PROTOCOL),
-            })
-            self._snapshots.append(None)
-            self._snapshot_times.append(None)
-            self._journals.append([])
-            self._mutations.append(0)
-            self._inflight.append(None)
-        if self._local:
-            self._spawn_local(worker)
-        self._sockets[worker] = self._establish(worker)
-
-    def _stop_worker(self, worker: int) -> None:
-        connection = self._sockets[worker]
-        self._sockets[worker] = None
-        if connection is not None:
-            try:
-                _send_frame(connection, ("close", None),
-                            deadline=time.monotonic() + 1.0)
-            except (_DeadlineExceeded, ConnectionError, OSError):
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
-        process = self._processes[worker]
-        self._processes[worker] = None
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM blocked
-                process.kill()
-                process.join(timeout=5.0)
-        self._snapshots[worker] = None
-        self._snapshot_times[worker] = None
-        self._journals[worker] = []
-        self._mutations[worker] = 0
-        self._inflight[worker] = None
-
-    # ------------------------------------------------------------------ #
-    # Supervision: journal, snapshots, re-spawn
-    # ------------------------------------------------------------------ #
-    def _recover(self, worker: int, cause: BaseException) -> None:
-        """Re-spawn/reconnect a lost worker and rebuild its shard state.
-
-        Rebuild = last snapshot (or the fresh-start payload) + ordered
-        replay of the journalled mutating commands; the in-flight request,
-        if any, is re-sent afterwards so the caller's pending
-        :meth:`_finish` completes transparently.  Raises
-        :class:`WorkerCrashError` after ``max_respawns`` failed attempts.
-        """
-        if self._closed:
-            raise WorkerCrashError(
-                "the socket backend is closed; build a new service"
-            ) from cause
-        last_error: BaseException = cause
-        old_socket = self._sockets[worker]
-        if old_socket is not None:
-            try:
-                old_socket.close()
-            except OSError:
-                pass
-            self._sockets[worker] = None
-        reg = telemetry.active()
-        snapshot_age = (None if self._snapshot_times[worker] is None
-                        else time.monotonic() - self._snapshot_times[worker])
-        journal_length = len(self._journals[worker])
-        _LOG.warning(
-            "worker %d lost (%s: %s); recovering from %s + replay of %d "
-            "journalled command(s)", worker, type(cause).__name__, cause,
-            ("fresh start" if snapshot_age is None
-             else f"snapshot taken {snapshot_age:.1f}s ago"), journal_length)
-        for attempt in range(1, self._max_respawns + 1):
-            if reg is not None:
-                reg.counter("backend.socket.respawn_attempts").inc()
-            _LOG.warning("worker %d re-spawn/reconnect attempt %d/%d",
-                         worker, attempt, self._max_respawns)
-            try:
-                if self._local:
-                    process = self._processes[worker]
-                    if process is not None:
-                        if process.is_alive():
-                            process.terminate()
-                        process.join(timeout=5.0)
-                    self._spawn_local(worker)
-                connection = self._establish(worker, from_snapshot=True)
-            except AuthenticationError:
-                # the endpoint's token changed under us: retrying cannot
-                # help, and the worker's connection is gone for good
-                self._broken = True
-                raise
-            except (WorkerCrashError, WorkerTimeoutError, ConnectionError,
-                    OSError) as error:
-                last_error = error
-                time.sleep(_RESPAWN_BACKOFF * attempt)
-                continue
-            try:
-                deadline_span = self._request_timeout()
-                for command, payload in self._journals[worker]:
-                    deadline = time.monotonic() + deadline_span
-                    _send_frame(connection, (command, payload),
-                                deadline=deadline)
-                    ok, result = _recv_frame(connection, deadline=deadline)
-                    if not ok:
-                        raise WorkerCrashError(
-                            f"worker {worker} failed replaying {command!r} "
-                            f"after a re-spawn:\n{result}")
-                if self._inflight[worker] is not None:
-                    _send_frame(connection, self._inflight[worker],
-                                deadline=time.monotonic() + deadline_span)
-            except (WorkerCrashError, _ConnectionLost, _DeadlineExceeded,
-                    ConnectionError, OSError) as error:
-                last_error = error
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-                time.sleep(_RESPAWN_BACKOFF * attempt)
-                continue
-            self._sockets[worker] = connection
-            self.respawns += 1
-            if reg is not None:
-                reg.counter("backend.socket.respawns").inc()
-                reg.counter("backend.socket.replayed_commands").inc(
-                    journal_length)
-            _LOG.warning(
-                "worker %d recovered on attempt %d/%d (%d command(s) "
-                "replayed, %d total recoveries)", worker, attempt,
-                self._max_respawns, journal_length, self.respawns)
-            return
-        self._broken = True
-        _LOG.error("worker %d could not be recovered after %d attempt(s)",
-                   worker, self._max_respawns)
-        raise WorkerCrashError(
-            f"worker {worker} is gone and could not be re-spawned after "
-            f"{self._max_respawns} attempt(s); its shards "
-            f"{self._placement.shards_of(worker)} "
-            f"are lost — build a new service (last error: {last_error})"
-        ) from cause
-
-    def _after_requests(self, workers) -> None:
-        """Refresh the snapshot of every listed worker past the threshold.
-
-        Runs once per completed pool operation (the
-        :class:`WorkerPoolBackend` hook), never with a request in flight,
-        so the snapshot request cannot desynchronise a pending reply.
-        """
-        for worker in workers:
-            if self._mutations[worker] < self._snapshot_every:
-                continue
-            self._post(worker, "snapshot", None)
-            blob = self._finish(worker)
-            self._snapshots[worker] = blob
-            self._snapshot_times[worker] = time.monotonic()
-            self._journals[worker].clear()
-            self._mutations[worker] = 0
-            reg = telemetry.active()
-            if reg is not None:
-                reg.counter("backend.socket.snapshots").inc()
-                reg.gauge("backend.socket.snapshot_bytes").set(len(blob))
-                reg.histogram("backend.socket.snapshot_size_bytes",
-                              SIZE_EDGES).observe(len(blob))
-
-    # ------------------------------------------------------------------ #
-    # Request plumbing
-    # ------------------------------------------------------------------ #
-    def _request_timeout(self) -> float:
-        return (self.worker_timeout if self.worker_timeout is not None
-                else _base.DEFAULT_REQUEST_TIMEOUT)
-
-    def _check_usable(self) -> None:
-        if self._closed:
-            raise WorkerCrashError(
-                "the socket backend is closed; build a new service")
-        if self._broken:
-            raise WorkerCrashError(
-                "a previous worker failure desynchronised the worker "
-                "protocol (a reply may still be in flight); build a new "
-                "service")
-
-    def _post(self, worker: int, command: str, payload=None) -> None:
-        """Record the in-flight request and send it (recovering on loss)."""
-        self._check_usable()
-        self._inflight[worker] = (command, payload)
-        deadline = time.monotonic() + self._request_timeout()
-        try:
-            sent = _send_frame(self._sockets[worker], (command, payload),
-                               deadline=deadline)
-            reg = telemetry.active()
-            if reg is not None:
-                reg.counter("backend.socket.bytes_sent").inc(sent)
-        except _DeadlineExceeded:
-            # a live worker that stopped draining its socket is hung, not
-            # dead: surface it like a reply timeout instead of re-spawning
-            self._broken = True
-            raise WorkerTimeoutError(
-                f"worker {worker} did not accept a {command!r} request "
-                f"within {self._request_timeout():.3g}s; the backend is now "
-                "unusable — build a new service") from None
-        except (ConnectionError, OSError) as error:
-            self._recover(worker, error)
-
-    def _finish(self, worker: int):
-        """Collect the reply of the worker's in-flight request."""
-        command, _ = self._inflight[worker]
-        timeout = self._request_timeout()
-        recoveries = 0
-        while True:
-            deadline = time.monotonic() + timeout
-            try:
-                (ok, result), received = _recv_frame_sized(
-                    self._sockets[worker], deadline=deadline)
-                reg = telemetry.active()
-                if reg is not None:
-                    reg.counter("backend.socket.bytes_received").inc(received)
-                break
-            except _ConnectionLost as error:
-                # recovery replays the journal and re-sends the in-flight
-                # request, so the loop simply waits for the fresh reply —
-                # but a worker that crashes deterministically on this very
-                # request must not re-spawn forever
-                recoveries += 1
-                if recoveries > self._max_respawns:
-                    self._broken = True
-                    raise WorkerCrashError(
-                        f"worker {worker} crashed {recoveries} times on "
-                        f"the same {command!r} request; the request itself "
-                        "appears to kill it — build a new service"
-                    ) from error
-                self._recover(worker, error)
-            except _DeadlineExceeded:
-                self._broken = True
-                raise WorkerTimeoutError(
-                    f"worker {worker} did not reply within {timeout:.3g}s; "
-                    "the backend is now unusable (the late reply would "
-                    "desynchronise the protocol) — build a new service"
-                ) from None
-        if not ok:
-            # the raising worker's shard state is partially updated and a
-            # replay would re-raise; poison the backend like the process
-            # backend does
-            self._broken = True
-            raise WorkerCrashError(
-                f"worker {worker} raised while serving {command!r} (build "
-                f"a new service):\n{result}")
-        if command in _MUTATING_COMMANDS:
-            self._journals[worker].append(self._inflight[worker])
-            self._mutations[worker] += 1
-        self._inflight[worker] = None
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for connection in self._sockets:
-            if connection is None:
-                continue
-            try:
-                _send_frame(connection, ("close", None),
-                            deadline=time.monotonic() + 1.0)
-            except (_DeadlineExceeded, ConnectionError, OSError):
-                pass
-        self._teardown_transport()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        mode = "local" if self._local else "remote"
-        return (f"SocketBackend(shards={self.shards}, "
-                f"workers={self.workers}, mode={mode!r}, "
-                f"respawns={self.respawns})")
+        return connection

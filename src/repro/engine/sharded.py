@@ -163,8 +163,6 @@ class ShardedSamplingService:
                  endpoints: Optional[List[str]] = None,
                  auth_token: Optional[object] = None,
                  auth_token_file: Optional[str] = None,
-                 transport: Optional[str] = None,
-                 ring_slots: Optional[int] = None,
                  autoscale: Optional[object] = None) -> None:
         check_positive("shards", shards)
         self.shards = int(shards)
@@ -178,8 +176,7 @@ class ShardedSamplingService:
             backend, self.shards, shard_factory, child_rngs[:self.shards],
             workers=workers, worker_timeout=worker_timeout,
             endpoints=endpoints, auth_token=auth_token,
-            auth_token_file=auth_token_file, transport=transport,
-            ring_slots=ring_slots, placement=self._placement)
+            auth_token_file=auth_token_file, placement=self._placement)
         self._init_autoscale(autoscale)
 
     # ------------------------------------------------------------------ #
@@ -196,8 +193,6 @@ class ShardedSamplingService:
                        endpoints: Optional[List[str]] = None,
                        auth_token: Optional[object] = None,
                        auth_token_file: Optional[str] = None,
-                       transport: Optional[str] = None,
-                       ring_slots: Optional[int] = None,
                        autoscale: Optional[object] = None
                        ) -> "ShardedSamplingService":
         """Build an ensemble of knowledge-free services (Algorithm 3)."""
@@ -211,7 +206,6 @@ class ShardedSamplingService:
                    backend=backend, workers=workers,
                    worker_timeout=worker_timeout, endpoints=endpoints,
                    auth_token=auth_token, auth_token_file=auth_token_file,
-                   transport=transport, ring_slots=ring_slots,
                    autoscale=autoscale)
 
     # ------------------------------------------------------------------ #
@@ -252,8 +246,6 @@ class ShardedSamplingService:
                 endpoints: Optional[List[str]] = None,
                 auth_token: Optional[object] = None,
                 auth_token_file: Optional[str] = None,
-                transport: Optional[str] = None,
-                ring_slots: Optional[int] = None,
                 autoscale: Optional[object] = None
                 ) -> "ShardedSamplingService":
         """Rebuild an ensemble from a :meth:`snapshot` blob.
@@ -288,8 +280,7 @@ class ShardedSamplingService:
             RestoredShardFactory(state["services_blob"]),
             placeholder_rngs, workers=workers, worker_timeout=worker_timeout,
             endpoints=endpoints, auth_token=auth_token,
-            auth_token_file=auth_token_file, transport=transport,
-            ring_slots=ring_slots, placement=service._placement)
+            auth_token_file=auth_token_file, placement=service._placement)
         service._backend.seed_loads(state["loads"])
         service._init_autoscale(autoscale)
         return service

@@ -6,9 +6,9 @@ as the test surface that exercises it.  This package generates that surface:
 
 * :mod:`repro.fuzz.generator` — a seeded generator of random *valid*
   :class:`~repro.scenarios.spec.ScenarioSpec` combinations (streams x
-  churn x adversaries x sharding x autoscale x transport);
+  churn x adversaries x sharding x autoscale);
 * :mod:`repro.fuzz.differential` — the differential executor that runs each
-  spec on several backends (serial, process shm, process pickle, socket)
+  spec on several backends (serial, process, socket)
   and fails on any divergence in the result dictionaries, emitting the
   offending spec in the replayable corpus format of ``tests/fuzz_corpus/``.
 

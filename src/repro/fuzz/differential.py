@@ -1,8 +1,7 @@
 """Differential executor: one spec, several backends, zero tolerated drift.
 
-Runs a scenario on a set of backend *variants* — serial, process with the
-shared-memory transport, process with the pickle transport, socket — and
-compares the full :meth:`~repro.scenarios.runner.ScenarioResult.to_dict`
+Runs a scenario on a set of backend *variants* — serial, process, socket —
+and compares the full :meth:`~repro.scenarios.runner.ScenarioResult.to_dict`
 structures.  Any difference, down to the last float, is a divergence: the
 determinism contract says the backend only decides *where* shards execute,
 never what they compute.
@@ -37,19 +36,13 @@ _WORKERS = 2
 #: here: bit-identity only holds across backends at the same topology, so
 #: the shard count must come from the spec (see :func:`_variant_spec`).
 VARIANTS: Dict[str, Dict[str, Any]] = {
-    "serial": {"backend": "serial", "workers": None, "transport": None,
-               "ring_slots": None},
-    "process": {"backend": "process", "workers": _WORKERS,
-                "transport": None, "ring_slots": None},
-    "process-pickle": {"backend": "process", "workers": _WORKERS,
-                       "transport": "pickle", "ring_slots": None},
-    "socket": {"backend": "socket", "workers": _WORKERS,
-               "transport": None, "ring_slots": None},
+    "serial": {"backend": "serial", "workers": None},
+    "process": {"backend": "process", "workers": _WORKERS},
+    "socket": {"backend": "socket", "workers": _WORKERS},
 }
 
 #: The variants compared by default: serial is the reference, process
-#: exercises the pipelined shared-memory transport, socket the TCP path.
-#: ``process-pickle`` is one flag away for the full four-way sweep.
+#: exercises the pipelined shared-memory path, socket the TCP path.
 DEFAULT_VARIANTS: Tuple[str, ...] = ("serial", "process", "socket")
 
 
@@ -89,7 +82,7 @@ def _variant_spec(spec: ScenarioSpec, variant: str) -> ScenarioSpec:
     """Rebase a spec's engine section onto a backend variant.
 
     The spec's topology (shards, batch size, autoscale policy) is kept;
-    only the execution backend and its transport knobs change.  Specs with
+    only the execution backend and its worker count change.  Specs with
     no sharding get ``shards=2`` — applied uniformly, serial included, so
     every variant still runs the same two-shard ensemble.
     """

@@ -467,8 +467,6 @@ class ScenarioRunner:
                     backend=spec.engine.backend, workers=spec.engine.workers,
                     endpoints=spec.engine.endpoints,
                     auth_token_file=spec.engine.auth_token_file,
-                    transport=spec.engine.transport,
-                    ring_slots=spec.engine.ring_slots,
                     autoscale=spec.engine.autoscale)
 
             factories[strategy.label] = sharded

@@ -205,8 +205,6 @@ class EngineSpec:
     workers: Optional[int] = None
     endpoints: Optional[List[str]] = None
     auth_token_file: Optional[str] = None
-    transport: Optional[str] = None
-    ring_slots: Optional[int] = None
     autoscale: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -273,25 +271,6 @@ class EngineSpec:
             raise ScenarioError(
                 "engine.auth_token_file only applies to the 'socket' "
                 "backend")
-        if self.transport is not None:
-            from repro.engine.backends import TRANSPORTS
-
-            if self.backend != "process":
-                raise ScenarioError(
-                    "engine.transport selects the process backend's chunk "
-                    f"transport; the {self.backend!r} backend does not take "
-                    "it")
-            if self.transport not in TRANSPORTS:
-                raise ScenarioError(
-                    f"engine.transport must be one of "
-                    f"{', '.join(TRANSPORTS)}, got {self.transport!r}")
-        if self.ring_slots is not None:
-            check_positive("ring_slots", self.ring_slots)
-            if self.backend != "process":
-                raise ScenarioError(
-                    "engine.ring_slots sizes the process backend's "
-                    "shared-memory rings; the "
-                    f"{self.backend!r} backend does not take it")
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the JSON-serializable form of the engine section."""
@@ -303,8 +282,7 @@ class EngineSpec:
         data = _require_mapping("engine", data)
         _check_known_keys("engine", data, ["driver", "batch_size", "shards",
                                            "backend", "workers", "endpoints",
-                                           "auth_token_file", "transport",
-                                           "ring_slots", "autoscale"])
+                                           "auth_token_file", "autoscale"])
         return cls(**data)
 
 

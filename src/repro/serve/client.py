@@ -1,7 +1,7 @@
 """Blocking Python client for the always-on sampling service.
 
 :class:`ServeClient` speaks the protocol of :mod:`repro.serve.protocol`
-over one TCP connection: authenticate once, then issue request/reply
+(framed with :mod:`repro.engine.backends.wire`) over one TCP connection: authenticate once, then issue request/reply
 commands.  The convenience methods are strictly synchronous (one request
 in flight); tests and load tools that want pipelining use the raw
 :meth:`ServeClient.send_command` / :meth:`ServeClient.read_reply` pair
@@ -17,8 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.backends.socket import load_auth_token, parse_endpoint
-from repro.serve import protocol
+from repro.engine.backends import wire
 
 __all__ = [
     "BackpressureError",
@@ -87,17 +86,17 @@ class ServeClient:
         if (auth_token is None) == (auth_token_file is None):
             raise ValueError(
                 "exactly one of auth_token / auth_token_file is required")
-        token = (load_auth_token(auth_token_file)
+        token = (wire.load_auth_token(auth_token_file)
                  if auth_token_file is not None
-                 else protocol.token_bytes(auth_token))
-        host, port = parse_endpoint(address)
+                 else wire.token_bytes(auth_token))
+        host, port = wire.parse_endpoint(address)
         self._timeout = timeout
         self._connection = socket.create_connection((host, port),
                                                     timeout=10.0)
         try:
             self._connection.setsockopt(socket.IPPROTO_TCP,
                                         socket.TCP_NODELAY, 1)
-            protocol.client_handshake(self._connection, token)
+            wire.client_handshake(self._connection, token)
         except BaseException:
             self._connection.close()
             raise
@@ -111,12 +110,12 @@ class ServeClient:
 
     def send_command(self, command: str, payload: Any = None) -> None:
         """Send one request frame without waiting for its reply."""
-        protocol.send_frame(self._connection, (command, payload),
+        wire.send_frame(self._connection, (command, payload),
                             deadline=self._deadline())
 
     def read_reply(self) -> Tuple[bool, Any]:
         """Read the next reply frame (replies arrive in request order)."""
-        return protocol.recv_frame(self._connection,
+        return wire.recv_frame(self._connection,
                                    deadline=self._deadline())
 
     def _request(self, command: str, payload: Any = None) -> Any:

@@ -1,19 +1,24 @@
 """Wire protocol of the always-on sampling service (``repro serve``).
 
-The serve protocol is the worker protocol's framing and authentication,
-reused verbatim, with a client-facing command set on top:
+The serve protocol is the worker pool's frame and handshake codec
+(:mod:`repro.engine.backends.wire`), with a client-facing command set on
+top:
 
 * **Framing** — every message is one length-prefixed frame: an 8-byte
   big-endian payload length (:data:`LENGTH`) followed by a pickled
-  payload, exactly as :mod:`repro.engine.backends.socket` frames worker
-  commands.  Requests are ``(command, payload)`` tuples; replies are
+  payload.  Requests are ``(command, payload)`` tuples; replies are
   ``(ok, result)`` tuples where ``ok`` is a bool and ``result`` carries
   the answer (or, on failure, an error dict / formatted traceback).
-* **Authentication** — a session opens with the same mutual HMAC-SHA256
+* **Authentication** — a session opens with the mutual HMAC-SHA256
   challenge–response over a shared token: the client sends a nonce, the
   server answers with its own nonce plus ``HMAC(token, b"server" +
   nonces)``, the client proves itself with ``HMAC(token, b"client" +
   nonces)``, and only then is anything unpickled on either side.
+
+This module holds the asyncio server side; blocking clients use
+:func:`~repro.engine.backends.wire.client_handshake`,
+:func:`~repro.engine.backends.wire.send_frame` and
+:func:`~repro.engine.backends.wire.recv_frame` directly.
 
 Commands
 --------
@@ -75,54 +80,25 @@ engine run on the concatenated stream with the same seed.
 from __future__ import annotations
 
 import asyncio
-import hmac
 import pickle
-import secrets
-import struct
-import time
 from typing import Any, Optional, Tuple
 
-from repro.engine.backends.socket import (
-    _DIGEST_SIZE,
-    _LENGTH,
-    _MAX_TOKEN_FRAME,
-    _NONCE_SIZE,
-    _handshake_mac,
-    _recv_frame,
-    _recv_raw_frame,
-    _send_frame,
-    _send_raw_frame,
-    _token_bytes,
-)
-from repro.engine.backends.socket import AuthenticationError
+from repro.engine.backends import wire
+from repro.engine.backends.wire import HANDSHAKE_TIMEOUT, LENGTH
 
 __all__ = [
-    "AuthenticationError",
     "HANDSHAKE_TIMEOUT",
     "LENGTH",
-    "MAX_HANDSHAKE_FRAME",
-    "client_handshake",
+    "MAX_REQUEST_FRAME",
     "read_frame",
     "server_handshake",
-    "token_bytes",
     "write_frame",
 ]
-
-#: Frame header — re-exported from the worker protocol (8-byte big-endian).
-LENGTH = _LENGTH
-
-#: Upper bound on pre-authentication frame sizes (nonces and MACs only).
-MAX_HANDSHAKE_FRAME = _MAX_TOKEN_FRAME
-
-#: How long either side waits for the handshake to complete.
-HANDSHAKE_TIMEOUT = 30.0
 
 #: Ceiling on a single request frame (pickled payload bytes).  Large
 #: enough for multi-million-element ingest batches, small enough that a
 #: garbage length prefix cannot make the server try to buffer petabytes.
 MAX_REQUEST_FRAME = 1 << 30
-
-token_bytes = _token_bytes
 
 
 # --------------------------------------------------------------------- #
@@ -169,65 +145,26 @@ async def server_handshake(reader: asyncio.StreamReader,
 
     Returns ``True`` on success.  An unauthenticated (or malformed, or
     stalled) peer gets the connection closed without learning anything —
-    mirroring :func:`repro.engine.backends.socket.serve_worker_connection`.
+    the same challenge and verification the worker server runs.
     """
     try:
         client_nonce = await asyncio.wait_for(
-            _read_exact_frame(reader, limit=MAX_HANDSHAKE_FRAME),
+            _read_exact_frame(reader, limit=wire.MAX_HANDSHAKE_FRAME),
             timeout=timeout)
-        if len(client_nonce) != _NONCE_SIZE:
+        challenge = wire.server_challenge(token, client_nonce)
+        if challenge is None:
             return False
-        server_nonce = secrets.token_bytes(_NONCE_SIZE)
-        challenge = server_nonce + _handshake_mac(
-            token, b"server", client_nonce, server_nonce)
-        writer.write(LENGTH.pack(len(challenge)) + challenge)
+        server_nonce, frame = challenge
+        writer.write(LENGTH.pack(len(frame)) + frame)
         await writer.drain()
         client_mac = await asyncio.wait_for(
-            _read_exact_frame(reader, limit=MAX_HANDSHAKE_FRAME),
+            _read_exact_frame(reader, limit=wire.MAX_HANDSHAKE_FRAME),
             timeout=timeout)
     except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-            ConnectionError, ValueError, struct.error, OSError):
+            ConnectionError, ValueError, OSError):
         return False
-    if not hmac.compare_digest(
-            client_mac,
-            _handshake_mac(token, b"client", client_nonce, server_nonce)):
+    if not wire.server_verify(token, client_nonce, server_nonce, client_mac):
         return False
     write_frame(writer, (True, "ok"))
     await writer.drain()
     return True
-
-
-# --------------------------------------------------------------------- #
-# Blocking client side (plain sockets; reuses the worker-protocol helpers)
-# --------------------------------------------------------------------- #
-def client_handshake(connection, token: bytes, *,
-                     timeout: float = HANDSHAKE_TIMEOUT) -> None:
-    """Run the client side of the mutual HMAC handshake on a socket.
-
-    Raises :class:`AuthenticationError` when the peer cannot prove token
-    knowledge (wrong token, or not a repro serve endpoint).
-    """
-    deadline = time.monotonic() + timeout
-    client_nonce = secrets.token_bytes(_NONCE_SIZE)
-    _send_raw_frame(connection, client_nonce, deadline=deadline)
-    reply = _recv_raw_frame(connection, deadline=deadline,
-                            limit=MAX_HANDSHAKE_FRAME)
-    server_nonce = reply[:_NONCE_SIZE]
-    expected = _handshake_mac(token, b"server", client_nonce, server_nonce)
-    if (len(reply) != _NONCE_SIZE + _DIGEST_SIZE
-            or not hmac.compare_digest(reply[_NONCE_SIZE:], expected)):
-        raise AuthenticationError(
-            "server failed to prove knowledge of the shared auth token "
-            "(wrong token, or not a repro serve endpoint)")
-    _send_raw_frame(
-        connection,
-        _handshake_mac(token, b"client", client_nonce, server_nonce),
-        deadline=deadline)
-    ok, detail = _recv_frame(connection, deadline=deadline)
-    if not ok:
-        raise AuthenticationError(f"server rejected the session: {detail}")
-
-
-# Re-export the blocking frame helpers for the client module.
-send_frame = _send_frame
-recv_frame = _recv_frame

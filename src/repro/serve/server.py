@@ -55,6 +55,7 @@ from typing import Any, Awaitable, Dict, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro.metrics.divergence import kl_divergence_to_uniform
+from repro.engine.backends import wire
 from repro.serve import protocol
 from repro.streams.stream import IdentifierStream
 from repro.telemetry import runtime as telemetry
@@ -132,7 +133,7 @@ class SamplingServer:
             raise ValueError(
                 f"connection_hwm must be >= 1, got {connection_hwm}")
         self._service = service
-        self._token = protocol.token_bytes(token)
+        self._token = wire.token_bytes(token)
         self._host = host
         self._port = port
         self._state_file = state_file

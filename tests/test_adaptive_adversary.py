@@ -16,6 +16,7 @@ from repro.adversary import (
     SamplerView,
 )
 from repro.core.knowledge_free import KnowledgeFreeStrategy
+from repro.engine.backends import shm
 from repro.engine.batch import run_stream
 from repro.scenarios import (
     AdaptiveAdversarySpec,
@@ -264,9 +265,12 @@ class TestAdaptiveBitIdentity:
         assert self.run_engine(backend="process",
                                workers=2) == serial_reference
 
-    def test_process_pickle_matches_serial(self, serial_reference):
-        assert self.run_engine(backend="process", workers=2,
-                               transport="pickle") == serial_reference
+    def test_process_pickle_matches_serial(self, serial_reference,
+                                           monkeypatch):
+        # the pickled-frame fallback of a host without shared memory
+        monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
+        assert self.run_engine(backend="process",
+                               workers=2) == serial_reference
 
     def test_socket_matches_serial(self, serial_reference):
         assert self.run_engine(backend="socket",

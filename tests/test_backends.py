@@ -2,10 +2,10 @@
 
 The headline guarantee under test: per master seed, the process and socket
 backends' outputs, merged memory, shard loads and samples are bit-identical
-to the serial backend's, so every experiment can run on any of them.  The
-socket backend additionally supervises its workers: a killed worker is
-re-spawned and its shards rebuilt from the last state snapshot plus a
-bounded journal replay, which the crash tests assert end-to-end.
+to the serial backend's, so every experiment can run on any of them.  Both
+worker pools share one supervisor: a killed worker is re-spawned and its
+shards rebuilt from the last state snapshot plus a bounded journal replay,
+which the crash tests assert end-to-end on both pools.
 """
 
 import json
@@ -298,21 +298,30 @@ class TestWorkerFailures:
         _assert_no_leaked_workers()
 
     def test_dead_worker_detected(self):
+        # depending on timing the parent sees the dead workers as a broken
+        # channel at send time or as EOF at collect; either way it re-forks
+        # them from their journals and the run stays serial-identical
+        serial = _service("serial", shards=2)
+        ids = np.asarray(STREAM.identifiers, dtype=np.int64)
         service = _service("process", shards=2, workers=2)
         try:
-            service.on_receive_batch(STREAM.identifiers[:500])
+            assert np.array_equal(serial.on_receive_batch(ids[:500]),
+                                  service.on_receive_batch(ids[:500]))
             for process in service.backend._processes:
                 process.terminate()
                 process.join(timeout=5.0)
-            # depending on timing the parent sees the broken pipe at send
-            # time or the dead process in the reply poll loop
-            with pytest.raises(WorkerCrashError, match="worker"):
-                service.on_receive_batch(STREAM.identifiers[:500])
+            assert np.array_equal(serial.on_receive_batch(ids[500:1000]),
+                                  service.on_receive_batch(ids[500:1000]))
+            assert service.backend.respawns == 2
+            assert serial.merged_memory() == service.merged_memory()
+            assert serial.shard_loads() == service.shard_loads()
         finally:
             service.close()
+        _assert_no_leaked_workers()
 
     def test_process_worker_crash_mid_dispatch(self):
-        # the crash lands while the batch request is in flight
+        # the crash lands while the batch request is in flight; the
+        # supervisor re-forks the workers and re-sends the request
         service = ShardedSamplingService(2, _sleepy_factory, random_state=3,
                                          backend="process", workers=2)
         try:
@@ -320,11 +329,38 @@ class TestWorkerFailures:
             killer = threading.Timer(
                 0.3, lambda: [process.terminate() for process in processes])
             killer.start()
-            with pytest.raises(WorkerCrashError):
-                service.on_receive_batch(STREAM.identifiers[:64])
+            outputs = service.on_receive_batch(STREAM.identifiers[:64])
             killer.join()
+            assert np.array_equal(
+                np.sort(outputs),
+                np.sort(np.asarray(STREAM.identifiers[:64], dtype=np.int64)))
+            assert service.backend.respawns >= 1
         finally:
             service.close()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_unpicklable_factory_survives_a_refork(self):
+        # fork hands the factory to each worker without pickling it, on the
+        # first launch and again when a killed worker is re-forked
+        factory = KnowledgeFreeShardFactory(10, sketch_width=32,
+                                            sketch_depth=4)
+
+        def closure(index, rng):
+            return factory(index, rng)
+
+        serial = _service("serial", shards=2)
+        ids = np.asarray(STREAM.identifiers, dtype=np.int64)
+        with ShardedSamplingService(2, closure, random_state=23,
+                                    backend="process",
+                                    workers=2) as service:
+            assert np.array_equal(serial.on_receive_batch(ids[:4000]),
+                                  service.on_receive_batch(ids[:4000]))
+            service.backend._processes[1].kill()
+            assert np.array_equal(serial.on_receive_batch(ids[4000:]),
+                                  service.on_receive_batch(ids[4000:]))
+            assert service.backend.respawns == 1
+            assert serial.merged_memory() == service.merged_memory()
 
     def test_worker_timeout(self):
         service = ShardedSamplingService(2, _sleepy_factory, random_state=3,
@@ -395,13 +431,15 @@ class TestWorkerFailures:
 
 
 # --------------------------------------------------------------------- #
-# Socket-backend supervision: re-spawn, snapshots, bounded replay
+# Pool supervision (both pools): re-spawn, snapshots, bounded replay; and
+# the socket-only endpoint and authentication paths
 # --------------------------------------------------------------------- #
 class TestSocketSupervision:
-    def test_worker_killed_mid_run_recovers_bit_identical(self):
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_worker_killed_mid_run_recovers_bit_identical(self, backend):
         serial = _service("serial", seed=23)
         ids = np.asarray(STREAM.identifiers, dtype=np.int64)
-        with _service("socket", seed=23, workers=2) as service:
+        with _service(backend, seed=23, workers=2) as service:
             a1 = serial.on_receive_batch(ids[:4000])
             b1 = service.on_receive_batch(ids[:4000])
             victim = service.backend._processes[0]
@@ -416,13 +454,14 @@ class TestSocketSupervision:
             assert serial.shard_loads() == service.shard_loads()
             assert serial.sample_many(100) == service.sample_many(100)
 
-    def test_stats_proxies_serial_identical_after_recovery(self):
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_stats_proxies_serial_identical_after_recovery(self, backend):
         # every inspection proxy — shard loads, per-shard memory sizes and
         # the merged memory — answers from the *rebuilt* workers, so a
         # mid-run kill must leave them serial-identical, repeatedly
         serial = _service("serial", seed=23)
         ids = np.asarray(STREAM.identifiers, dtype=np.int64)
-        with _service("socket", seed=23, workers=2) as service:
+        with _service(backend, seed=23, workers=2) as service:
             for round_number, (start, stop) in enumerate(
                     [(0, 3000), (3000, 6000), (6000, 8000)]):
                 serial.on_receive_batch(ids[start:stop])
@@ -457,43 +496,49 @@ class TestSocketSupervision:
     def test_snapshot_bounds_the_replay_after_a_kill(self):
         factory = KnowledgeFreeShardFactory(10, sketch_width=32,
                                             sketch_depth=4)
-        serial = SerialBackend(4, factory, spawn_children(7, 4))
-        backend = SocketBackend(4, factory, spawn_children(7, 4), workers=2,
-                                snapshot_every=2)
         ids = np.asarray(STREAM.identifiers, dtype=np.int64)
-        try:
-            for start in range(0, 4000, 500):
-                chunk = ids[start:start + 500]
-                assert np.array_equal(
-                    serial.dispatch(chunk, chunk % 4),
-                    backend.dispatch(chunk, chunk % 4))
-            # snapshots were collected, so the journal stays bounded
-            assert all(blob is not None for blob in backend._snapshots)
-            assert all(len(journal) <= 2 for journal in backend._journals)
-            victim = backend._processes[1]
-            victim.kill()
-            victim.join(timeout=5.0)
-            for start in range(4000, 8000, 500):
-                chunk = ids[start:start + 500]
-                assert np.array_equal(
-                    serial.dispatch(chunk, chunk % 4),
-                    backend.dispatch(chunk, chunk % 4))
-            assert backend.respawns >= 1
-            assert serial.merged_memory() == backend.merged_memory()
-        finally:
-            backend.close()
+        for name in PARALLEL_BACKENDS:  # the one supervisor, on both pools
+            serial = SerialBackend(4, factory, spawn_children(7, 4))
+            backend = make_backend(name, 4, factory, spawn_children(7, 4),
+                                   workers=2)
+            backend._snapshot_every = 2
+            try:
+                for start in range(0, 4000, 500):
+                    chunk = ids[start:start + 500]
+                    assert np.array_equal(
+                        serial.dispatch(chunk, chunk % 4),
+                        backend.dispatch(chunk, chunk % 4))
+                # snapshots were collected, so the journal stays bounded
+                assert all(blob is not None for blob in backend._snapshots)
+                assert all(len(journal) <= 2
+                           for journal in backend._journals)
+                victim = backend._processes[1]
+                victim.kill()
+                victim.join(timeout=5.0)
+                for start in range(4000, 8000, 500):
+                    chunk = ids[start:start + 500]
+                    assert np.array_equal(
+                        serial.dispatch(chunk, chunk % 4),
+                        backend.dispatch(chunk, chunk % 4))
+                assert backend.respawns >= 1
+                assert serial.merged_memory() == backend.merged_memory()
+            finally:
+                backend.close()
 
-    def test_deterministically_crashing_request_is_bounded(self):
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_deterministically_crashing_request_is_bounded(self, backend):
         # a request that kills its worker on every attempt must not
         # re-spawn forever: after max_respawns recoveries the crash surfaces
-        backend = SocketBackend(2, _suicidal_factory, spawn_children(3, 2),
-                                workers=2, max_respawns=2)
+        pool = make_backend(backend, 2, _suicidal_factory,
+                            spawn_children(3, 2), workers=2)
+        pool._max_respawns = 2
         try:
             chunk = np.arange(50, dtype=np.int64)
-            with pytest.raises(WorkerCrashError, match="crashed"):
-                backend.dispatch(chunk, chunk % 2)
+            with pytest.raises(WorkerCrashError, match="crashed 3 times"):
+                pool.dispatch(chunk, chunk % 2)
+            assert pool.respawns == 2
         finally:
-            backend.close()
+            pool.close()
         _assert_no_leaked_workers()
 
     def test_remote_endpoint_lost_for_good_is_bounded(self):
@@ -502,7 +547,8 @@ class TestSocketSupervision:
         process, endpoint = _spawn_server_process(b"test-secret")
         backend = SocketBackend(2, _mute_factory, spawn_children(3, 2),
                                 workers=2, endpoints=[endpoint],
-                                auth_token=b"test-secret", max_respawns=2)
+                                auth_token=b"test-secret")
+        backend._max_respawns = 2
         try:
             chunk = np.arange(100, dtype=np.int64)
             backend.dispatch(chunk, chunk % 2)

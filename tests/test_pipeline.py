@@ -18,6 +18,7 @@ import pytest
 from repro import telemetry
 from repro.core import KnowledgeFreeStrategy
 from repro.engine import ShardedSamplingService, run_stream
+from repro.engine.backends import shm as shm_module
 from repro.engine.backends.process import ProcessBackend
 from repro.engine.backends.serial import SerialBackend
 from repro.engine.backends.socket import SocketBackend
@@ -101,10 +102,15 @@ class TestPipelineSelection:
 # --------------------------------------------------------------------- #
 class TestPipelinedRunStream:
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_auto_pipelined_with_final_partial_chunk(self, transport):
+    def test_auto_pipelined_with_final_partial_chunk(self, transport,
+                                                     monkeypatch):
+        if transport == "pickle":
+            # the automatic fallback of a host without shared memory
+            monkeypatch.setattr(shm_module, "shared_memory_available",
+                                lambda: False)
         ids = IDS[:6000]  # 2048-chunks: 2048 + 2048 + 1904 (partial tail)
         reference = _serial_run(ids, 2048)
-        with _service(workers=2, transport=transport) as service:
+        with _service(workers=2) as service:
             result = run_stream(service, ids, batch_size=2048)
             assert result.batches == 3
             _assert_matches(service, result, reference)
@@ -131,11 +137,11 @@ class TestPipelinedRunStream:
                                 pipeline=False)
             _assert_matches(service, result, reference)
 
-    def test_ring_wrap_around_over_many_chunks(self):
+    def test_ring_wrap_around_over_many_chunks(self, monkeypatch):
         """A 2-slot ring cycled by 16 chunks stays bit-identical."""
+        monkeypatch.setattr(shm_module, "DEFAULT_RING_SLOTS", 2)
         reference = _serial_run(IDS, 512)
-        with _service(workers=2, transport="shm",
-                      ring_slots=2) as service:
+        with _service(workers=2) as service:
             result = run_stream(service, IDS, batch_size=512)
             assert result.batches == 16
             _assert_matches(service, result, reference)
@@ -151,7 +157,7 @@ class TestPipelinedRunStream:
         with telemetry.enabled() as registry:
             service = ShardedSamplingService(
                 4, _SlowKnowledgeFreeFactory(0.03), random_state=23,
-                backend="process", workers=2, transport="shm")
+                backend="process", workers=2)
             try:
                 result = run_stream(service, ids, batch_size=512)
                 assert np.array_equal(result.outputs, reference.outputs)
@@ -216,8 +222,7 @@ class TestPipelinedAutoscale:
         """The acceptance bar: shm transport + pipelined driving + live
         autoscale migration mid-stream, bit-identical to serial."""
         reference = _serial_run(IDS, 512)
-        with _service(workers=1, transport="shm",
-                      autoscale=AUTOSCALE) as service:
+        with _service(workers=1, autoscale=AUTOSCALE) as service:
             assert service.placement.workers == 1
             result = run_stream(service, IDS, batch_size=512)
             stats = service.autoscaler.stats()

@@ -5,7 +5,8 @@ scale-up/down and load-triggered autoscaling are pure routing changes —
 per master seed, outputs, merged memory, shard loads and samples stay
 bit-identical to the serial backend with any schedule of placement
 actions applied mid-run, including a worker killed -9 in the middle of a
-migration (the socket supervisor re-spawns and journal-replays it).
+migration (the pool supervisor re-spawns and journal-replays it, on both
+worker pools).
 Delta snapshots make migrations ship only state that changed since the
 parent's cache was last refreshed, which the telemetry byte counters
 make observable.
@@ -236,12 +237,13 @@ class TestLiveMigration:
             service.add_worker()
         service.close()
 
-    def test_kill_nine_during_migration_recovers_bit_identical(self):
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_kill_nine_during_migration_recovers_bit_identical(self, backend):
         """kill -9 on the migration source; supervisor replay converges."""
         batches = [IDS[:4000], IDS[4000:]]
         ref_outputs, ref_samples, ref_memory, ref_loads = \
             _serial_reference(batches)
-        with _service("socket", workers=2) as service:
+        with _service(backend, workers=2) as service:
             outputs = [service.on_receive_batch(batches[0])]
             # the source worker dies before the delta snapshot request;
             # the supervisor re-spawns it mid-migration
@@ -256,11 +258,12 @@ class TestLiveMigration:
             assert service.merged_memory() == ref_memory
             assert service.shard_loads() == ref_loads
 
-    def test_kill_nine_after_migration_replays_the_move(self):
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_kill_nine_after_migration_replays_the_move(self, backend):
         """A post-migration crash must rebuild the *migrated* membership."""
         batches = [IDS[:4000], IDS[4000:]]
         ref_outputs, ref_samples, ref_memory, _ = _serial_reference(batches)
-        with _service("socket", workers=2) as service:
+        with _service(backend, workers=2) as service:
             outputs = [service.on_receive_batch(batches[0])]
             service.migrate_shard(0, 1)
             # both sides of the move crash after it completed: replay must

@@ -1,15 +1,18 @@
 """Tests for the zero-copy shared-memory transport (repro.engine.backends.shm).
 
-The guarantees under test: the process backend's ``"shm"`` transport stages
-chunk payloads into per-worker shared-memory rings and is bit-identical to
-both the ``"pickle"`` transport and the serial backend per master seed; the
-fallback matrix (no shared memory on the host, sub-chunks below the cutoff,
-payloads that outgrow a slot, protocol desync) always lands on a correct
-pickle path; and every ring segment is unlinked from ``/dev/shm`` on every
-exit path — clean close, worker crash, startup failure and ``kill -9``.
+The guarantees under test: the process backend stages chunk payloads into
+per-worker shared-memory rings and is bit-identical to both its pickled-frame
+fallback and the serial backend per master seed; the fallback matrix (no
+shared memory on the host, sub-chunks below the cutoff, payloads that
+outgrow a slot, protocol desync) always lands on a correct pickle path; a
+worker killed with a pipelined shared-memory dispatch in flight is re-forked
+onto the same ring and replayed bit-identically; and every ring segment is
+unlinked from ``/dev/shm`` on every exit path — clean close, worker crash,
+startup failure and ``kill -9``.
 """
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.engine import (
     ShardedSamplingService,
     WorkerCrashError,
     make_backend,
+    run_stream,
 )
 from repro.engine.backends import shm as shm_module
 from repro.engine.backends.process import RING_NAME_PREFIX, ProcessBackend
@@ -32,6 +36,7 @@ from repro.engine.backends.shm import (
     shared_memory_available,
 )
 from repro.engine.sharded import KnowledgeFreeShardFactory
+from repro.scenarios.registry import ScenarioError
 from repro.scenarios.spec import EngineSpec
 from repro.streams import zipf_stream
 from repro.utils.rng import spawn_children
@@ -65,12 +70,16 @@ def _factory():
     return KnowledgeFreeShardFactory(10, sketch_width=32, sketch_depth=4)
 
 
-def _direct_backends(**process_kwargs):
+def _direct_backends():
     """A serial reference and a process backend built from the same seeds."""
     serial = SerialBackend(4, _factory(), spawn_children(23, 4))
-    process = ProcessBackend(4, _factory(), spawn_children(23, 4),
-                             workers=2, **process_kwargs)
+    process = ProcessBackend(4, _factory(), spawn_children(23, 4), workers=2)
     return serial, process
+
+
+def _without_shared_memory(monkeypatch):
+    """Make the host look like it has no POSIX shared memory."""
+    monkeypatch.setattr(shm_module, "shared_memory_available", lambda: False)
 
 
 # --------------------------------------------------------------------- #
@@ -171,14 +180,16 @@ class TestShmRing:
 # --------------------------------------------------------------------- #
 class TestTransportParity:
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_bit_identical_to_serial(self, transport):
+    def test_bit_identical_to_serial(self, transport, monkeypatch):
+        if transport == "pickle":
+            _without_shared_memory(monkeypatch)
         reference = _service("serial")
         expected = reference.on_receive_batch(IDS)
         expected_memory = reference.merged_memory()
         expected_samples = reference.sample_many(50)
         expected_loads = reference.shard_loads()
-        with _service(workers=2, transport=transport) as service:
-            assert service.backend.transport == transport
+        with _service(workers=2) as service:
+            assert (_ring_segments() != []) == (transport == "shm")
             outputs = service.on_receive_batch(IDS)
             assert np.array_equal(outputs, expected)
             assert service.merged_memory() == expected_memory
@@ -187,17 +198,14 @@ class TestTransportParity:
 
     def test_shm_is_the_default_transport(self):
         with _service(workers=2) as service:
-            assert service.backend.transport == "shm"
             assert _ring_segments() != []
         assert _ring_segments() == []
 
     def test_host_without_shared_memory_falls_back(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "shared_memory_available",
-                            lambda: False)
+        _without_shared_memory(monkeypatch)
         reference = _service("serial")
         expected = reference.on_receive_batch(IDS[:4096])
-        with _service(workers=2, transport="shm") as service:
-            assert service.backend.transport == "pickle"
+        with _service(workers=2) as service:
             assert _ring_segments() == []
             assert np.array_equal(service.on_receive_batch(IDS[:4096]),
                                   expected)
@@ -209,7 +217,7 @@ class TestTransportParity:
         expected = [reference.on_receive_batch(small),
                     reference.on_receive_batch(large)]
         with telemetry.enabled() as registry:
-            with _service(workers=2, transport="shm") as service:
+            with _service(workers=2) as service:
                 outputs = [service.on_receive_batch(small)]
                 counters = registry.snapshot()["counters"]
                 assert counters["backend.process.shm_fallbacks"] >= 2
@@ -222,11 +230,12 @@ class TestTransportParity:
         for ours, want in zip(outputs, expected):
             assert np.array_equal(ours, want)
 
-    def test_oversized_payload_falls_back_per_dispatch(self):
-        """A payload larger than a slot transparently rides the pipe."""
+    def test_oversized_payload_falls_back_per_dispatch(self, monkeypatch):
+        """A payload larger than a slot transparently rides the channel."""
+        monkeypatch.setattr(shm_module, "DEFAULT_SLOT_BYTES", 64)
         ids = IDS[:8192]
         shard_indices = (ids % 4).astype(np.int64)
-        serial, process = _direct_backends(transport="shm", slot_bytes=64)
+        serial, process = _direct_backends()
         try:
             expected = serial.dispatch(ids, shard_indices)
             with telemetry.enabled() as registry:
@@ -240,29 +249,21 @@ class TestTransportParity:
         assert _ring_segments() == []
 
     def test_constructor_and_resolver_validation(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            ProcessBackend(4, _factory(), spawn_children(23, 4),
-                           workers=2, transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="ring_slots must be positive"):
-            ProcessBackend(4, _factory(), spawn_children(23, 4),
-                           workers=2, ring_slots=0)
-        with pytest.raises(ValueError, match="transport"):
-            make_backend("serial", 4, _factory(), spawn_children(23, 4),
-                         transport="shm")
-        with pytest.raises(ValueError, match="ring_slots"):
-            make_backend("serial", 4, _factory(), spawn_children(23, 4),
-                         ring_slots=2)
+        # the transport is chosen automatically: there is no knob to set
+        for knob in ({"transport": "pickle"}, {"ring_slots": 2},
+                     {"slot_bytes": 64}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                ProcessBackend(4, _factory(), spawn_children(23, 4),
+                               workers=2, **knob)
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                make_backend("process", 4, _factory(),
+                             spawn_children(23, 4), **knob)
 
     def test_engine_spec_validation(self):
-        spec = EngineSpec(shards=4, backend="process", transport="shm",
-                          ring_slots=2)
-        assert spec.transport == "shm"
-        with pytest.raises(ValueError, match="transport"):
-            EngineSpec(shards=4, backend="serial", transport="shm")
-        with pytest.raises(ValueError, match="transport"):
-            EngineSpec(shards=4, backend="process", transport="bogus")
-        with pytest.raises(ValueError, match="ring_slots"):
-            EngineSpec(shards=4, backend="serial", ring_slots=2)
+        for knob in ("transport", "ring_slots"):
+            with pytest.raises(ScenarioError, match="unknown key"):
+                EngineSpec.from_dict({"shards": 4, "backend": "process",
+                                      knob: 2})
 
 
 # --------------------------------------------------------------------- #
@@ -287,32 +288,68 @@ def _broken_on_shard_one_factory(index, rng):
     return _SuicidalService()
 
 
+class _SlowShard:
+    """Knowledge-free shard whose batch ingestion sleeps first, so a
+    pipelined dispatch stays in flight long enough to kill its worker."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def on_receive_batch(self, identifiers):
+        time.sleep(0.1)
+        return self.inner.on_receive_batch(identifiers)
+
+    def sample(self):
+        return self.inner.sample()
+
+    def reset(self):
+        self.inner.reset()
+
+    @property
+    def elements_processed(self):
+        return self.inner.elements_processed
+
+    @property
+    def strategy(self):
+        return self.inner.strategy
+
+
+def _slow_factory(index, rng):
+    return _SlowShard(_factory()(index, rng))
+
+
 # --------------------------------------------------------------------- #
 # Segment lifecycle on every exit path
 # --------------------------------------------------------------------- #
 class TestSegmentLifecycle:
     def test_clean_close_unlinks_every_ring(self):
-        with _service(workers=2, transport="shm") as service:
+        with _service(workers=2) as service:
             service.on_receive_batch(IDS[:4096])
             assert len(_ring_segments()) == 2  # one ring per worker
         assert _ring_segments() == []
 
     def test_close_with_an_inflight_dispatch_unlinks(self):
         """close() drains the pipeline, releases slots and unlinks."""
-        service = _service(workers=2, transport="shm")
+        service = _service(workers=2)
         handle = service.begin_batch(IDS[:4096])
         assert handle[1] == 4096
         service.close()
         assert _ring_segments() == []
 
     def test_worker_crash_leaves_no_segments(self):
+        # a staged batch that kills its worker on every attempt: each
+        # re-forked worker attaches to the same ring (no new segments),
+        # and after the bounded retries the crash surfaces
         backend = ProcessBackend(4, _suicidal_factory, spawn_children(23, 4),
-                                 workers=2, transport="shm")
+                                 workers=2)
         try:
-            assert _ring_segments() != []
+            rings = _ring_segments()
+            assert len(rings) == 2
             ids = IDS[:4096]
-            with pytest.raises(WorkerCrashError):
+            with pytest.raises(WorkerCrashError, match="crashed"):
                 backend.dispatch(ids, (ids % 4).astype(np.int64))
+            assert backend.respawns == backend._max_respawns
+            assert _ring_segments() == rings
         finally:
             backend.close()
         assert _ring_segments() == []
@@ -320,23 +357,30 @@ class TestSegmentLifecycle:
     def test_startup_failure_leaves_no_segments(self):
         with pytest.raises(WorkerCrashError, match="construction boom"):
             ProcessBackend(4, _broken_on_shard_one_factory,
-                           spawn_children(23, 4), workers=2, transport="shm")
+                           spawn_children(23, 4), workers=2)
         assert _ring_segments() == []
 
     def test_kill_nine_leaves_no_segments(self):
-        service = _service(workers=2, transport="shm")
+        reference = _service("serial")
+        expected = [reference.on_receive_batch(IDS[:2048]),
+                    reference.on_receive_batch(IDS[2048:6144])]
+        service = _service(workers=2)
         try:
-            service.on_receive_batch(IDS[:2048])
+            outputs = [service.on_receive_batch(IDS[:2048])]
             service.backend._processes[0].kill()
-            with pytest.raises(WorkerCrashError):
-                service.on_receive_batch(IDS[2048:6144])
+            outputs.append(service.on_receive_batch(IDS[2048:6144]))
+            assert service.backend.respawns == 1
+            assert len(_ring_segments()) == 2
+            for ours, want in zip(outputs, expected):
+                assert np.array_equal(ours, want)
+            assert service.merged_memory() == reference.merged_memory()
         finally:
             service.close()
         assert _ring_segments() == []
 
     def test_autoscale_worker_retirement_unlinks_its_ring(self):
         """remove_worker must retire the worker's ring with the worker."""
-        with _service(workers=1, transport="shm") as service:
+        with _service(workers=1) as service:
             service.on_receive_batch(IDS[:2048])
             added = service.add_worker()
             assert len(_ring_segments()) == 2
@@ -352,7 +396,7 @@ class TestSegmentLifecycle:
 # --------------------------------------------------------------------- #
 class TestSeqProtocol:
     def test_mismatched_reply_header_poisons_the_backend(self):
-        service = _service(workers=2, transport="shm")
+        service = _service(workers=2)
         try:
             handle = service.begin_batch(IDS[:4096])
             ticket = handle[0]
@@ -362,6 +406,45 @@ class TestSeqProtocol:
                 service.finish_batch(handle)
             with pytest.raises(WorkerCrashError, match="build a new service"):
                 service.on_receive_batch(IDS[:64])
+        finally:
+            service.close()
+        assert _ring_segments() == []
+
+
+# --------------------------------------------------------------------- #
+# Recovery with the pipeline full
+# --------------------------------------------------------------------- #
+class TestPipelinedRecovery:
+    def test_kill_nine_with_a_pipelined_dispatch_in_flight(self):
+        """Two staged chunks in flight when the worker dies: the re-forked
+        worker attaches to the same ring, replays its journal and answers
+        both re-sent headers in order — bit-identical to serial."""
+        chunks = [IDS[start:start + 1000] for start in range(0, 8000, 1000)]
+        reference = _service("serial")
+        expected = [reference.on_receive_batch(chunk) for chunk in chunks]
+        service = ShardedSamplingService(4, _slow_factory, random_state=23,
+                                         backend="process", workers=2)
+        try:
+            # six synchronous chunks cycle the 4-slot ring, so the journal
+            # replays batches whose slots were reused since; the seventh
+            # mutation comes due while the eighth is still in flight, which
+            # defers that snapshot until the worker is idle
+            service.backend._snapshot_every = 7
+            outputs = [service.on_receive_batch(chunk)
+                       for chunk in chunks[:6]]
+            handles = [service.begin_batch(chunk) for chunk in chunks[6:]]
+            assert all(handle[0].transport_state for handle in handles)
+            service.backend._processes[0].kill()
+            outputs += [service.finish_batch(handle) for handle in handles]
+            assert service.backend.respawns == 1
+            assert all(blob is not None
+                       for blob in service.backend._snapshots)
+            assert len(_ring_segments()) == 2
+            for ours, want in zip(outputs, expected):
+                assert np.array_equal(ours, want)
+            assert service.merged_memory() == reference.merged_memory()
+            assert service.sample_many(40) == reference.sample_many(40)
+            assert service.shard_loads() == reference.shard_loads()
         finally:
             service.close()
         assert _ring_segments() == []
