@@ -200,7 +200,14 @@ def _run_sweep_spec(spec, arguments: argparse.Namespace) -> None:
 
 
 def _cmd_throughput(arguments: argparse.Namespace) -> None:
-    """Compare the scalar, batch and sharded drivers on one Zipf stream."""
+    """Compare the scalar, batch and sharded drivers on one Zipf stream.
+
+    Also checks what it times: ``exact`` reports whether the batch outputs
+    over the scalar run's prefix equal the scalar outputs, and the command
+    exits with status 1 when they do not.
+    """
+    import numpy as np
+
     from repro.core import KnowledgeFreeStrategy
     from repro.engine import (
         ShardedSamplingService,
@@ -240,6 +247,9 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
                                  batch_size=arguments.batch_size)
         finally:
             sharded_service.close()
+    # the batch kernel must reproduce the per-element reference exactly
+    exact = bool(np.array_equal(batch.outputs[:scalar_limit],
+                                scalar.outputs))
     sharded_label = f"sharded x{arguments.shards}"
     if arguments.backend != "serial":
         sharded_label += (f" [{arguments.backend}"
@@ -270,20 +280,25 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
                 "seed": arguments.seed,
             },
             "tiers": rows,
+            "exact": exact,
             "telemetry": registry.snapshot(),
         }
         print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    table_rows = [{
-        "driver": row["driver"],
-        "elements": row["elements"],
-        "seconds": round(row["seconds"], 3),
-        "elements/s": row["elements_per_second"],
-        "vs scalar": (row["vs_scalar"] if row["vs_scalar"] is not None
-                      else float("nan")),
-    } for row in rows]
-    print(format_table(table_rows, columns=["driver", "elements", "seconds",
-                                            "elements/s", "vs scalar"]))
+    else:
+        table_rows = [{
+            "driver": row["driver"],
+            "elements": row["elements"],
+            "seconds": round(row["seconds"], 3),
+            "elements/s": row["elements_per_second"],
+            "vs scalar": (row["vs_scalar"] if row["vs_scalar"] is not None
+                          else float("nan")),
+            "exact": exact if row["driver"] == "batch" else "",
+        } for row in rows]
+        print(format_table(table_rows, columns=[
+            "driver", "elements", "seconds", "elements/s", "vs scalar",
+            "exact"]))
+    if not exact:
+        raise SystemExit(1)
 
 
 def _cmd_worker_serve(arguments: argparse.Namespace) -> None:

@@ -27,6 +27,15 @@ local generator.  Buffering amortises the per-draw cost, and because each
 stream is consumed strictly sequentially the scalar path (:meth:`process`)
 and the batch path (:meth:`process_batch`) produce **bit-identical** output
 streams for the same seed, whatever the chunking.
+
+The contract both paths keep: an accept coin goes only to a *qualifier* —
+an element that arrives with Gamma full, is not in Gamma and has
+``a_j > 0`` — in element order; a victim coin goes only to an accepted
+qualifier; every element draws exactly one sample coin.  Once Gamma is
+full the batch path takes a chunk's sample coins with one ``take``.  It
+cannot know in advance how many qualifiers a chunk holds, so it reads its
+accept coins with one ``peek`` of at most the chunk's length and then
+calls ``advance`` with exactly the number of coins its qualifiers used.
 """
 
 from __future__ import annotations
@@ -43,6 +52,22 @@ from repro.utils.rng import (
     ensure_rng,
     spawn_children,
 )
+
+#: Break-even of the two admission paths of a chunk with Gamma full, in
+#: expected replacements per element (the sum of ``a_j`` over the chunk's
+#: qualifiers, divided by the number of elements).  The vectorised path
+#: costs a few array passes over the chunk plus, per replacement, one
+#: Python step and an O(chunk) recurrence check (and a recomputation of the
+#: qualifiers when a replaced id recurs); the per-element loop costs one
+#: Python step per element.  Both therefore scale with the chunk length and
+#: meet at a replacement rate that moves little with it.  Timed on Zipf
+#: chunks of 512 to 8192 elements (2-core x86-64 host, CPython 3.11, NumPy
+#: 2.4), the two paths tie at 0.013-0.028 replacements per element (0.013
+#: at 8192 elements, 0.021 at 2048, 0.028 at 512); on synthetic chunks
+#: whose ids never recur the vectorised path still wins at 0.04.  For
+#: scale, over a 4-shard ensemble (memory 50, 200x5 sketch): Zipf(2) runs
+#: at ~0.003, Zipf(1.1) at ~0.05 and the NASA trace stand-in at ~0.24.
+_VECTOR_ADMISSION_BREAK_EVEN = 0.02
 
 
 @runtime_checkable
@@ -151,11 +176,18 @@ class KnowledgeFreeStrategy(SamplingStrategy):
 
         Bit-identical to calling :meth:`process` once per element: the
         admission logic, coin-flip consumption and outputs are exactly those
-        of the scalar path.  The speed-up comes from (a) hashing the whole
-        chunk at once through the sketch's vectorised hash functions,
-        (b) mutating the counter matrix as Python lists inside the loop and
-        writing it back once per chunk, and (c) maintaining ``min_sigma``
-        incrementally instead of re-scanning the matrix per element.
+        of the scalar path.  The speed-up comes from (a) the Count-Min half
+        running as array operations over the whole chunk
+        (:meth:`~repro.sketches.count_min.CountMinSketch.update_and_estimate`:
+        one broadcast hashing pass, every element's estimate from a stable
+        argsort of its cells, ``min_sigma`` tracked by a loop over the few
+        hits that can move it), (b) admission running with Python once per
+        *replacement*, not once per element: Gamma is constant between two
+        replacements, so membership, the accept-coin test and the output
+        draws are array operations in between, and (c) chunks that expect
+        many replacements running admission as a lean per-element loop over
+        the precomputed ``a_j`` instead, whichever the expected replacement
+        rate makes cheaper.
 
         Subclasses that override the admission logic (e.g. the adaptive
         strategy) and strategies driven by a non-Count-Min oracle fall back
@@ -175,81 +207,142 @@ class KnowledgeFreeStrategy(SamplingStrategy):
         return self._process_chunk_count_min(ids)
 
     def _process_chunk_count_min(self, ids: np.ndarray) -> np.ndarray:
-        """Amortised Algorithm 3 over one chunk, Count-Min oracle only."""
-        sketch = self.frequency_oracle
+        """Algorithm 3 over one chunk, Count-Min oracle only."""
+        estimates, min_cells = self.frequency_oracle.update_and_estimate(ids)
+        # a_j = min(1, min_sigma / f̂_j).  float64 division of the int64
+        # counts equals the scalar path's Python int / int while the counts
+        # stay below 2^53.  After its own update an element's Count-Min
+        # estimate and min_sigma are both >= 1, so the scalar path's other
+        # two cases (estimate <= 0, min_sigma == 0) cannot arise here.
+        acceptance = np.minimum(min_cells / estimates, 1.0)
         size = int(ids.size)
-        # (a) vectorised hashing: one column list per sketch row.
-        columns = [cols.tolist() for cols in sketch.hash_columns(ids)]
-        ids_list = ids.tolist()
-        # (b) counter matrix as Python lists for loop-speed mutation.
-        table = sketch.export_rows()
-        row_pairs = list(zip(table, columns))
-        total = sketch.total
-        # (c) incremental min_sigma: the current minimum over non-empty cells
-        # and how many cells sit at that minimum.  A cell leaving the minimum
-        # triggers the (rare) upward rescan; a cell filling from zero resets
-        # the minimum to one.
-        min_sigma, count_at_min = sketch.min_cell_state()
         memory = self._memory
         memory_set = self._memory_set
         capacity = self.memory_size
-        accept_next = self._accept_coins.next
-        victim_next = self._victim_coins.next
-        # The sample coin is consumed exactly once per element, so the whole
-        # chunk's worth can be prefetched from the dedicated stream.
-        sample_coins = self._sample_coins.take(size)
-        outputs: List[int] = []
-        append = outputs.append
-        infinity = float("inf")
-        for index in range(size):
-            identifier = ids_list[index]
-            estimate = infinity
-            for row, cols in row_pairs:
-                column = cols[index]
-                value = row[column]
-                updated = value + 1
-                row[column] = updated
-                if updated < estimate:
-                    estimate = updated
-                if value == 0:
-                    if min_sigma == 1:
-                        count_at_min += 1
-                    else:
-                        min_sigma = 1
-                        count_at_min = 1
-                elif value == min_sigma:
-                    count_at_min -= 1
-                    if count_at_min == 0:
-                        min_sigma = infinity
-                        for scan_row, _ in row_pairs:
-                            for cell in scan_row:
-                                if 0 < cell < min_sigma:
-                                    min_sigma = cell
-                        count_at_min = sum(scan_row.count(min_sigma)
-                                           for scan_row, _ in row_pairs)
-            total += 1
-            occupancy = len(memory)
-            if occupancy < capacity:
+        # While Gamma fills (a strategy's first few dozen distinct ids), an
+        # element draws no accept or victim coin, only its sample coin.
+        filled: List[int] = []
+        index = 0
+        if len(memory) < capacity:
+            sample_next = self._sample_coins.next
+            for identifier in ids.tolist():
+                if len(memory) >= capacity:
+                    break
                 if identifier not in memory_set:
                     memory.append(identifier)
                     memory_set.add(identifier)
-            elif identifier not in memory_set:
-                if estimate <= 0:
-                    acceptance = 1.0
-                elif min_sigma > 0:
-                    ratio = min_sigma / estimate
-                    acceptance = ratio if ratio < 1.0 else 1.0
-                else:
-                    acceptance = 0.0
-                if acceptance > 0 and accept_next() < acceptance:
-                    victim_index = int(victim_next() * occupancy)
+                filled.append(memory[int(sample_next() * len(memory))])
+                index += 1
+        self._memory_snapshot = None
+        self._elements_processed += size
+        if index == size:
+            return np.asarray(filled, dtype=np.int64)
+        rest = ids[index:]
+        acceptance = acceptance[index:]
+        # A qualifier arrives with Gamma full, is not in Gamma and has
+        # a_j > 0: exactly the elements that draw an accept coin.
+        positive = acceptance > 0
+        members = np.sort(np.asarray(memory, dtype=np.int64))
+        found = np.searchsorted(members, rest)
+        found[found == capacity] = 0
+        qualifies = positive & (members[found] != rest)
+        expected = float(acceptance[qualifies].sum())
+        # Each path takes the rest of the chunk's sample coins at once, in
+        # the form it reads them.
+        if expected > _VECTOR_ADMISSION_BREAK_EVEN * rest.size:
+            admitted = self._admit_per_element(
+                rest, acceptance, self._sample_coins.take(rest.size))
+        else:
+            admitted = self._admit_between_replacements(
+                rest, acceptance, positive, qualifies,
+                self._sample_coins.take_array(rest.size))
+        if not filled:
+            return admitted
+        return np.concatenate([np.asarray(filled, dtype=np.int64), admitted])
+
+    def _admit_between_replacements(self, ids: np.ndarray,
+                                    acceptance: np.ndarray,
+                                    positive: np.ndarray,
+                                    qualifies: np.ndarray,
+                                    samples: np.ndarray) -> np.ndarray:
+        """Admission with Gamma full, vectorised between two replacements.
+
+        Gamma is constant between two accepted replacements, so the accept
+        coins of a whole run of qualifiers are compared at once and the
+        outputs up to the next acceptance are one gather; Python runs once
+        per replacement.  A replacement changes who qualifies later in the
+        chunk only if the admitted id (which stops qualifying) or the
+        evicted id (which qualifies again) recurs there; only then are the
+        qualifiers and their coins recomputed.
+        """
+        memory = self._memory
+        memory_set = self._memory_set
+        capacity = self.memory_size
+        victim_next = self._victim_coins.next
+        gamma = np.asarray(memory, dtype=np.int64)
+        slots = (samples * capacity).astype(np.int64)
+        coins = self._accept_coins.peek_array(ids.size)
+        outputs = np.empty(ids.size, dtype=np.int64)
+        used = 0       # accept coins drawn before ``start``
+        start = 0      # first element whose output is not yet drawn
+        while True:
+            candidates = np.flatnonzero(qualifies[start:]) + start
+            trial = coins[used:used + candidates.size] < acceptance[candidates]
+            for drawn in np.flatnonzero(trial).tolist():
+                position = int(candidates[drawn])
+                outputs[start:position] = gamma[slots[start:position]]
+                victim_index = int(victim_next() * capacity)
+                evicted = memory[victim_index]
+                admitted = int(ids[position])
+                memory_set.discard(evicted)
+                memory[victim_index] = admitted
+                memory_set.add(admitted)
+                gamma[victim_index] = admitted
+                outputs[position] = gamma[slots[position]]
+                start = position + 1
+                tail = ids[start:]
+                recurs_admitted = tail == admitted
+                recurs_evicted = tail == evicted
+                if recurs_admitted.any() or recurs_evicted.any():
+                    qualifies[start:] &= ~recurs_admitted
+                    qualifies[start:] |= positive[start:] & recurs_evicted
+                    used += drawn + 1
+                    break
+            else:
+                outputs[start:] = gamma[slots[start:]]
+                used += candidates.size
+                break
+        self._accept_coins.advance(used)
+        return outputs
+
+    def _admit_per_element(self, ids: np.ndarray, acceptance: np.ndarray,
+                           samples: List[float]) -> np.ndarray:
+        """Admission with Gamma full, one Python step per element.
+
+        Used when a chunk expects too many replacements for the vectorised
+        path to pay off.  The sketch work is already done, so each step only
+        tests membership, compares a precomputed ``a_j`` with the next
+        peeked accept coin and draws the output.
+        """
+        memory = self._memory
+        memory_set = self._memory_set
+        capacity = self.memory_size
+        victim_next = self._victim_coins.next
+        coins = self._accept_coins.peek(ids.size)
+        used = 0
+        outputs: List[int] = []
+        append = outputs.append
+        for identifier, probability, sample in zip(
+                ids.tolist(), acceptance.tolist(), samples):
+            if probability > 0 and identifier not in memory_set:
+                if coins[used] < probability:
+                    victim_index = int(victim_next() * capacity)
                     memory_set.discard(memory[victim_index])
                     memory[victim_index] = identifier
                     memory_set.add(identifier)
-            append(memory[int(sample_coins[index] * len(memory))])
-        sketch.import_rows(table, total)
-        self._memory_snapshot = None
-        self._elements_processed += size
+                used += 1
+            append(memory[int(sample * capacity)])
+        self._accept_coins.advance(used)
         return np.asarray(outputs, dtype=np.int64)
 
     # ------------------------------------------------------------------ #

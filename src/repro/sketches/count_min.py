@@ -15,11 +15,15 @@ uses as a proxy for the frequency of the rarest identifier seen so far.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sketches.hashing import UniversalHashFamily, UniversalHashFunction
+from repro.sketches.hashing import (
+    UniversalHashFamily,
+    UniversalHashFunction,
+    hash_rows,
+)
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import (
     check_batch,
@@ -137,12 +141,14 @@ class CountMinSketch:
                     self._table[row, hash_function(item)] += count
             self._total += sum(count_list)
             return
-        for row, hash_function in enumerate(self._hash_functions):
-            columns = hash_function.hash_many(items)
-            if counts is None:
-                self._table[row] += np.bincount(columns, minlength=self.width)
-            else:
-                np.add.at(self._table[row], columns, counts)
+        columns = self.hash_columns(items)
+        if counts is None:
+            self._table += np.bincount(
+                self._cells(columns).reshape(-1), minlength=self._table.size
+            ).reshape(self._table.shape)
+        else:
+            rows = np.arange(self.depth)[:, None]
+            np.add.at(self._table, (rows, columns), counts)
         self._total += size if counts is None else int(counts.sum())
 
     def estimate(self, item: int) -> int:
@@ -161,11 +167,8 @@ class CountMinSketch:
         items = np.atleast_1d(np.asarray(items))
         if items.size == 0:
             return np.zeros(0, dtype=np.int64)
-        estimates = self._table[0, self._hash_functions[0].hash_many(items)]
-        for row in range(1, self.depth):
-            columns = self._hash_functions[row].hash_many(items)
-            estimates = np.minimum(estimates, self._table[row, columns])
-        return estimates.astype(np.int64, copy=False)
+        cells = self._cells(self.hash_columns(items))
+        return self._table.reshape(-1)[cells].min(axis=0)
 
     # ------------------------------------------------------------------ #
     # Quantities used by the knowledge-free strategy
@@ -192,28 +195,31 @@ class CountMinSketch:
     # ------------------------------------------------------------------ #
     # Chunk-processing hooks (used by the batch streaming engine)
     # ------------------------------------------------------------------ #
-    def hash_columns(self, items) -> list:
-        """Return one int64 column array per row for a batch of identifiers.
+    def hash_columns(self, items) -> np.ndarray:
+        """Return the ``(depth, n)`` int64 column matrix of a batch.
 
         ``result[row][i]`` is the column that ``items[i]`` hashes to in
-        ``row`` — the per-element work the knowledge-free batch processor
-        amortises across a chunk.
+        ``row``; every row is computed in one broadcast pass
+        (:func:`~repro.sketches.hashing.hash_rows`).
         """
-        items = np.atleast_1d(np.asarray(items))
-        return [hash_function.hash_many(items)
-                for hash_function in self._hash_functions]
+        return hash_rows(self._hash_functions, np.atleast_1d(np.asarray(items)))
 
     def export_rows(self) -> list:
         """Return the counter matrix as plain Python lists (one per row).
 
-        Together with :meth:`import_rows` this lets a sequential chunk
-        processor mutate the counters at Python-loop speed and write the
-        result back once per chunk instead of once per element.
+        No longer on the chunk path: :meth:`update_and_estimate` works on
+        the array directly.  It stays, with :meth:`import_rows`, as the
+        list-level view of the sketch state, and because the repository
+        benchmark's tracer (``perfbench/tracing.py``) wraps both by name.
         """
         return [row.tolist() for row in self._table]
 
     def import_rows(self, rows, total: int) -> None:
-        """Replace the counter matrix and total with chunk-processed state."""
+        """Replace the counter matrix and total with ``rows`` and ``total``.
+
+        The inverse of :meth:`export_rows`; like it, no longer on the chunk
+        path.
+        """
         matrix = np.asarray(rows, dtype=np.int64)
         if matrix.shape != self._table.shape:
             raise ValueError(
@@ -222,6 +228,102 @@ class CountMinSketch:
             )
         self._table[:, :] = matrix
         self._total = int(total)
+
+    def _cells(self, columns: np.ndarray) -> np.ndarray:
+        """Map a ``(depth, n)`` column matrix to flat indices of the table."""
+        offsets = np.arange(0, self._table.size, self.width, dtype=np.int64)
+        return columns + offsets[:, None]
+
+    def update_and_estimate(self, items) -> Tuple[np.ndarray, np.ndarray]:
+        """Record a chunk of single occurrences, reporting what Algorithm 3 reads.
+
+        Returns ``(estimates, min_cells)``: ``estimates[i]`` and
+        ``min_cells[i]`` are what :meth:`estimate` of ``items[i]`` and
+        :meth:`min_cell` return right after ``update(items[i])`` when the
+        chunk is fed one :meth:`update` at a time.  The final table and total
+        are those of that loop too.
+
+        The loop is sequential only in appearance.  Element ``i``'s
+        pre-update value in a cell is the cell's start value plus the number
+        of earlier hits to that cell in the chunk, which one stable argsort
+        of the hit cells yields for all hits at once; the estimate is then a
+        row-wise minimum.  ``min_cell`` moves only when a zero cell fills
+        (it drops to 1) or when the last cell at the minimum ``m`` is hit (it
+        becomes ``m + 1``, and the count at the new minimum is read off the
+        table as it stands at that hit: the element's earlier rows updated,
+        its later rows not).  Only a hit whose pre-update value is at most an
+        upper bound on the minimum over the whole chunk can do either, so the
+        Python loop runs over those few hits, not over elements.
+        """
+        items = np.atleast_1d(np.asarray(items))
+        size = int(items.size)
+        if size == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        depth = self.depth
+        minimum, count_at_min = self.min_cell_state()
+        start_minimum = minimum
+        cells = self._cells(self.hash_columns(items))
+        hits = cells.reshape(-1)
+        start = self._table.reshape(-1).copy()
+        counts = np.bincount(hits, minlength=start.size)
+        # A stable sort of the hits groups them by cell and, within a cell,
+        # by element (a cell lies in one row, so row-major order is element
+        # order).  A hit's sorted position minus its cell's first position is
+        # the number of earlier hits to that cell.  A 16-bit key lets numpy's
+        # stable argsort run as a radix sort.
+        key = hits.astype(np.uint16) if start.size <= 1 << 16 else hits
+        position = np.empty(hits.size, dtype=np.int64)
+        position[np.argsort(key, kind="stable")] = np.arange(hits.size)
+        first = np.cumsum(counts) - counts
+        before = ((start - first)[hits] + position).reshape(depth, size)
+        estimates = before.min(axis=0) + 1
+        final = start + counts
+        self._table[:, :] = final.reshape(self._table.shape)
+        self._total += size
+
+        # A cell non-empty from the first hit on (non-empty at the start, or
+        # the first hit's own cell) bounds the minimum by its final value.
+        occupied = start > 0
+        occupied[cells[0, 0]] = True
+        bound = int(final[occupied].min())
+        # the hits that can move the minimum, in loop order (element-major)
+        events = np.flatnonzero((before <= bound).T)
+        if events.size == 0:
+            return estimates, np.full(size, start_minimum, dtype=np.int64)
+        elements, rows = np.divmod(events, depth)
+        # ``live`` follows the table hit by hit wherever a cell's value is at
+        # most ``bound``: the hits to a cell from values at or below
+        # ``bound`` are a prefix of that cell's hits.  That is all the count
+        # at the minimum, which never exceeds ``bound``, reads.
+        live = start.tolist()
+        changed_at: List[int] = []
+        changed_to: List[int] = []
+        for element, cell, value in zip(elements.tolist(),
+                                        cells[rows, elements].tolist(),
+                                        before[rows, elements].tolist()):
+            live[cell] = value + 1
+            if value == 0:
+                if minimum == 1:
+                    count_at_min += 1
+                    continue
+                minimum = count_at_min = 1
+            elif value == minimum:
+                count_at_min -= 1
+                if count_at_min:
+                    continue
+                minimum += 1
+                count_at_min = live.count(minimum)
+            else:
+                continue
+            changed_at.append(element)
+            changed_to.append(minimum)
+        if not changed_at:
+            return estimates, np.full(size, start_minimum, dtype=np.int64)
+        # min_cells[i] is the last change made by element i or before it
+        latest = np.searchsorted(changed_at, np.arange(size), side="right") - 1
+        min_cells = np.asarray(changed_to, dtype=np.int64)[latest]
+        min_cells[latest < 0] = start_minimum
+        return estimates, min_cells
 
     def min_cell_state(self) -> Tuple[int, int]:
         """Return ``(min_cell, count_at_min)`` over the non-empty counters.

@@ -38,36 +38,81 @@ _MASK30 = np.uint64(0x3FFF_FFFF)
 
 
 def _mod_mersenne61(values: np.ndarray) -> np.ndarray:
-    """Reduce ``values`` (``uint64``, < 2^63 + 2^61) modulo ``2^61 - 1``.
+    """Reduce ``uint64`` ``values`` modulo ``2^61 - 1``.
 
     Uses the Mersenne identity ``2^61 ≡ 1 (mod p)``: splitting a value as
-    ``q * 2^61 + r`` gives the congruent ``q + r``, which a single conditional
-    subtraction brings below ``p``.
+    ``q * 2^61 + r`` gives the congruent ``q + r < 2^61 + 8``, which a single
+    conditional subtraction brings below ``p``.  The subtraction is
+    branch-free: below ``p``, ``values - p`` wraps around above ``values``,
+    so the minimum of the two is the reduced value.
     """
     values = (values >> _U61) + (values & _P61)
-    return np.where(values >= _P61, values - _P61, values)
+    return np.minimum(values, values - _P61)
 
 
-def _mulmod_mersenne61(multiplier: int, values: np.ndarray) -> np.ndarray:
-    """Return ``(multiplier * values) mod (2^61 - 1)`` without overflow.
+def _mulmod_mersenne61(multipliers: np.ndarray, values: np.ndarray,
+                       offsets: np.ndarray) -> np.ndarray:
+    """Return ``(multipliers * values + offsets) mod (2^61 - 1)``.
 
-    ``uint64`` cannot hold the 122-bit product, so both operands are split
-    into 30/31-bit halves; each partial product fits comfortably in 64 bits
-    and the powers ``2^62`` and ``2^31`` are folded back with the Mersenne
-    identity.  The result is bit-identical to Python's arbitrary-precision
-    ``(multiplier * int(x)) % p``.
+    ``multipliers`` and ``offsets`` are ``(k, 1)`` ``uint64`` columns below
+    ``p`` and ``values`` a ``uint64`` vector of length ``n``; the result is
+    the ``(k, n)`` matrix of every row, so ``k`` hash rows cost one
+    broadcast pass.  ``uint64`` cannot hold the 122-bit product, so both
+    operands are split into 30/31-bit halves and the powers ``2^62`` and
+    ``2^31`` are folded back with the Mersenne identity.  Every partial
+    term stays below ``2^62`` and their sum below ``2^64``, so one reduction
+    at the end suffices.  The result is bit-identical to Python's
+    arbitrary-precision ``(multiplier * int(x) + offset) % p``.
     """
-    a_hi = np.uint64(multiplier >> 31)
-    a_lo = np.uint64(multiplier & 0x7FFF_FFFF)
+    a_hi = multipliers >> _U31                             # < 2^30
+    a_lo = multipliers & _MASK31                           # < 2^31
     x = _mod_mersenne61(values)
-    x_hi = x >> _U31
-    x_lo = x & _MASK31
-    # a*x = a_hi*x_hi*2^62 + (a_hi*x_lo + a_lo*x_hi)*2^31 + a_lo*x_lo
-    high = _mod_mersenne61((a_hi * x_hi) << _U1)          # 2^62 ≡ 2
-    mid = _mod_mersenne61(a_hi * x_lo + a_lo * x_hi)
-    mid = _mod_mersenne61((mid >> _U30) + ((mid & _MASK30) << _U31))
-    low = _mod_mersenne61(a_lo * x_lo)
-    return _mod_mersenne61(high + mid + low)
+    x_hi = x >> _U31                                       # < 2^30
+    x_lo = x & _MASK31                                     # < 2^31
+    # a*x = a_hi*x_hi*2^62 + (a_hi*x_lo + a_lo*x_hi)*2^31 + a_lo*x_lo, and
+    # 2^62 ≡ 2, so the first term folds to 2*a_hi*x_hi < 2^61.  The middle
+    # sum (< 2^62) splits as mid_hi*2^30 + mid_lo, and mid*2^31 ≡ mid_hi +
+    # mid_lo*2^31 with both parts below 2^61.
+    mid = a_hi * x_lo + a_lo * x_hi
+    total = (a_hi * x_hi) << _U1
+    total += mid >> _U30
+    total += (mid & _MASK30) << _U31
+    total += a_lo * x_lo
+    total += offsets
+    return _mod_mersenne61(total)
+
+
+def hash_rows(functions: Sequence["UniversalHashFunction"],
+              items) -> np.ndarray:
+    """Hash ``items`` through every function at once.
+
+    Returns an int64 array of shape ``(len(functions),) + items.shape``
+    whose row ``r`` is ``functions[r]`` applied to every item.  For the
+    default Mersenne modulus ``2^61 - 1`` and non-negative integer inputs,
+    all rows are computed in one broadcast pass of split-multiplication
+    ``uint64`` arithmetic (:func:`_mulmod_mersenne61`) — bit-identical to
+    the scalar ``__call__`` but two orders of magnitude faster per element.
+    Other moduli (and exotic inputs such as negative identifiers) fall back
+    to exact arbitrary-precision arithmetic through an object-dtype array.
+    """
+    arr = np.asarray(items)
+    if (all(function.prime == MERSENNE_PRIME_61 for function in functions)
+            and arr.dtype.kind in "iu"
+            and (arr.dtype.kind == "u" or arr.size == 0
+                 or int(arr.min()) >= 0)):
+        def column(values):
+            return np.array(values, dtype=np.uint64).reshape(-1, 1)
+
+        hashed = _mulmod_mersenne61(
+            column([f.a for f in functions]),
+            arr.reshape(-1).astype(np.uint64, copy=False),
+            column([f.b for f in functions]))
+        hashed %= column([f.range_size for f in functions])
+        return hashed.astype(np.int64).reshape((len(functions),) + arr.shape)
+    obj = np.asarray(items, dtype=object)
+    rows = [((f.a * obj + f.b) % f.prime) % f.range_size for f in functions]
+    return np.array(rows, dtype=object).astype(np.int64).reshape(
+        (len(functions),) + obj.shape)
 
 
 @dataclass(frozen=True)
@@ -104,25 +149,11 @@ class UniversalHashFunction:
     def hash_many(self, items: Sequence[int]) -> np.ndarray:
         """Vectorised hashing of a sequence of identifiers.
 
-        For the default Mersenne modulus ``2^61 - 1`` and non-negative integer
-        inputs, the whole batch is hashed with split-multiplication ``uint64``
-        arithmetic (:func:`_mulmod_mersenne61`) — bit-identical to the scalar
-        ``__call__`` but two orders of magnitude faster per element.  Other
-        moduli (and exotic inputs) fall back to exact arbitrary-precision
-        arithmetic through an object-dtype array.
+        The one-row case of :func:`hash_rows`: bit-identical to the scalar
+        ``__call__``, with the uint64 fast path for the default Mersenne
+        modulus and the exact object-dtype fallback otherwise.
         """
-        arr = np.asarray(items)
-        if (self.prime == MERSENNE_PRIME_61 and arr.dtype.kind in "iu"
-                and (arr.dtype.kind == "u" or arr.size == 0
-                     or int(arr.min()) >= 0)):
-            hashed = _mod_mersenne61(
-                _mulmod_mersenne61(self.a, arr.astype(np.uint64, copy=False))
-                + np.uint64(self.b)
-            )
-            return (hashed % np.uint64(self.range_size)).astype(np.int64)
-        obj = np.asarray(items, dtype=object)
-        hashed = ((self.a * obj + self.b) % self.prime) % self.range_size
-        return hashed.astype(np.int64)
+        return hash_rows((self,), items)[0]
 
 
 class UniversalHashFamily:

@@ -57,13 +57,15 @@ class BufferedUniforms:
     the per-draw cost by an order of magnitude.
 
     The crucial property for the batch streaming engine is *chunk invariance*:
-    the sequence of values consumed through :meth:`next` and :meth:`take` is a
-    fixed function of the underlying generator's seed, independent of how the
-    draws are grouped.  A strategy whose scalar and batch execution paths both
-    draw their coins from the same buffered streams therefore produces
-    bit-identical outputs under both drivers.  (NumPy generators fill
-    ``random(n)`` sequentially from the bit stream, so the refill block
-    boundaries do not change which value sits at which stream position.)
+    the sequence of values consumed through :meth:`next`, :meth:`take`,
+    :meth:`take_array` and :meth:`advance` is a fixed function of the
+    underlying generator's seed, independent of how the draws are grouped;
+    :meth:`peek` and :meth:`peek_array` read ahead without consuming.  A
+    strategy whose scalar and batch execution paths both draw their coins
+    from the same buffered streams therefore produces bit-identical outputs
+    under both drivers.  (NumPy generators fill ``random(n)`` sequentially
+    from the bit stream, so the refill block boundaries do not change which
+    value sits at which stream position.)
 
     Refill blocks start at ``initial_block`` and grow geometrically up to
     ``block_size``: a simulation holding one stream per node (10k+ nodes,
@@ -87,11 +89,17 @@ class BufferedUniforms:
         self._buffer: List[float] = []
         self._position = 0
 
-    def _refill(self, needed: int) -> None:
-        block = max(self._next_block, needed)
-        self._buffer = self._rng.random(block).tolist()
+    def _refill(self, needed: int) -> np.ndarray:
+        """Make at least ``needed`` unconsumed values available.
+
+        Returns the freshly drawn block, as drawn.
+        """
+        pending = self._buffer[self._position:]
+        fresh = self._rng.random(max(self._next_block, needed - len(pending)))
+        self._buffer = pending + fresh.tolist()
         self._next_block = min(self._next_block * 4, self._block_size)
         self._position = 0
+        return fresh
 
     def next(self) -> float:
         """Return the next uniform ``[0, 1)`` value of the stream."""
@@ -108,17 +116,54 @@ class BufferedUniforms:
         Equivalent to ``[stream.next() for _ in range(count)]`` but amortised;
         the consumed positions are exactly the same.
         """
+        values = self.peek(count)
+        self._position += count
+        return values
+
+    def peek(self, count: int) -> List[float]:
+        """Return the next ``count`` values of the stream without consuming them.
+
+        A consumer that does not know in advance how many values it will use
+        peeks an upper bound, uses a prefix, and then calls :meth:`advance`
+        with the length of that prefix; the stream then continues as if the
+        prefix had been drawn with :meth:`next`.  Peeking adds nothing to
+        the pickled state but buffered values, so a snapshot taken between
+        a peek and its advance resumes the same stream.
+        """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        values: List[float] = []
-        while len(values) < count:
-            if self._position >= len(self._buffer):
-                self._refill(count - len(values))
-            end = min(len(self._buffer),
-                      self._position + (count - len(values)))
-            values.extend(self._buffer[self._position:end])
-            self._position = end
+        if len(self._buffer) - self._position < count:
+            self._refill(count)
+        return self._buffer[self._position:self._position + count]
+
+    def take_array(self, count: int) -> np.ndarray:
+        """:meth:`take` as a float64 array (see :meth:`peek_array`)."""
+        values = self.peek_array(count)
+        self._position += count
         return values
+
+    def peek_array(self, count: int) -> np.ndarray:
+        """:meth:`peek` as a float64 array.
+
+        Values drawn to serve the request enter the array as drawn, not
+        converted back from the buffer's Python floats.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        head = self._buffer[self._position:self._position + count]
+        if len(head) == count:
+            return np.array(head, dtype=np.float64)
+        fresh = self._refill(count)
+        return np.concatenate((np.array(head, dtype=np.float64),
+                               fresh[:count - len(head)]))
+
+    def advance(self, count: int) -> None:
+        """Consume the next ``count`` values, as ``count`` :meth:`next` calls."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if len(self._buffer) - self._position < count:
+            self._refill(count)
+        self._position += count
 
 
 def spawn_children(random_state: RandomState, count: int) -> List[np.random.Generator]:

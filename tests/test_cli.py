@@ -258,6 +258,36 @@ class TestTelemetryCli:
         counters = report["telemetry"]["counters"]
         assert counters["engine.elements"] > 0
         assert counters["backend.serial.dispatches"] >= 1
+        assert report["exact"] is True
+
+    def test_throughput_exits_1_when_batch_diverges(self, capsys,
+                                                    monkeypatch):
+        import json
+
+        from repro.core import KnowledgeFreeStrategy
+
+        original = KnowledgeFreeStrategy.process_batch
+
+        def diverging(self, identifiers):
+            outputs = original(self, identifiers)
+            outputs[-1] += 1
+            return outputs
+
+        monkeypatch.setattr(KnowledgeFreeStrategy, "process_batch",
+                            diverging)
+        arguments = ["throughput", "--stream-size", "3000",
+                     "--population-size", "300", "--scalar-limit", "1000",
+                     "--batch-size", "512", "--memory-size", "5",
+                     "--sketch-width", "8", "--sketch-depth", "3",
+                     "--shards", "2"]
+        with pytest.raises(SystemExit) as raised:
+            main(arguments + ["--json"])
+        assert raised.value.code == 1
+        assert json.loads(capsys.readouterr().out)["exact"] is False
+        with pytest.raises(SystemExit) as raised:
+            main(arguments)
+        assert raised.value.code == 1
+        assert "False" in capsys.readouterr().out
 
     def test_throughput_table_has_no_telemetry_noise(self, capsys):
         assert main(["throughput", "--stream-size", "3000",

@@ -6,9 +6,12 @@ safe for the experiment harness to run every figure on the vectorised path.
 The seed-determinism tests below are the regression guard for that contract.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.core.knowledge_free as knowledge_free
 from repro.core import (
     AdaptiveKnowledgeFreeStrategy,
     KnowledgeFreeStrategy,
@@ -24,7 +27,7 @@ from repro.engine import (
     run_stream_scalar,
 )
 from repro.sketches import CountSketch, ExactFrequencyCounter
-from repro.streams import zipf_stream
+from repro.streams import peak_attack_stream, zipf_stream
 
 STREAM = zipf_stream(8_000, 1_000, alpha=1.5, random_state=17)
 
@@ -32,6 +35,41 @@ STREAM = zipf_stream(8_000, 1_000, alpha=1.5, random_state=17)
 def _knowledge_free(seed=5):
     return KnowledgeFreeStrategy(12, sketch_width=32, sketch_depth=4,
                                  random_state=seed)
+
+
+def _kernel_stream(name, size=3_000):
+    """The chunk kernel's equivalence streams, each ``size`` ids long."""
+    rng = np.random.default_rng(29)
+    if name == "uniform":
+        return rng.integers(0, 300, size)
+    if name.startswith("zipf"):
+        alpha = float(name[len("zipf"):])
+        return np.asarray(zipf_stream(size, 500, alpha=alpha,
+                                      random_state=31).identifiers)
+    if name == "peak-attack":   # one id floods half the stream
+        return np.asarray(peak_attack_stream(size, 300,
+                                             random_state=37).identifiers)
+    if name == "negative":      # hashed through the object-dtype fallback
+        return rng.integers(-200, 100, size)
+    offset = {"below-2^61": -300, "above-2^61": 0}[name]
+    return (1 << 61) + offset + rng.integers(0, 300, size)
+
+
+#: Pairwise subset of streams x chunk sizes x memory sizes x sketch shapes x
+#: admission paths: every pair of levels of any two factors occurs at least
+#: once in these 40 cases.  Memory 7 or 50 with chunks of 64 or 1000 fills
+#: Gamma part-way through a chunk.
+KERNEL_STREAMS = ["uniform", "zipf1.1", "zipf2", "zipf4", "peak-attack",
+                  "negative", "below-2^61", "above-2^61"]
+KERNEL_CHUNKS = [1, 5, 64, 1000, 8192]
+KERNEL_MEMORIES = [1, 7, 50]
+KERNEL_SKETCHES = [(1, 1), (3, 2), (200, 5)]
+KERNEL_PATHS = {"loop": 0.0, "vectorised": math.inf}
+KERNEL_CASES = [
+    (KERNEL_STREAMS[s], KERNEL_CHUNKS[c], KERNEL_MEMORIES[(s + c) % 3],
+     KERNEL_SKETCHES[(s + 2 * c) % 3], sorted(KERNEL_PATHS)[(s // 4 + c) % 2])
+    for s in range(len(KERNEL_STREAMS)) for c in range(len(KERNEL_CHUNKS))
+]
 
 
 class TestSeedDeterminism:
@@ -88,6 +126,58 @@ class TestSeedDeterminism:
         strategy = _knowledge_free()
         run_stream(strategy, STREAM, batch_size=300)
         assert strategy.elements_processed == STREAM.size
+
+    @pytest.mark.parametrize(
+        "stream_name,chunk,memory,sketch,path", KERNEL_CASES,
+        ids=[f"{name}-chunk{chunk}-c{memory}-{width}x{depth}-{path}"
+             for name, chunk, memory, (width, depth), path in KERNEL_CASES])
+    def test_chunk_kernel_matches_scalar_reference(
+            self, monkeypatch, stream_name, chunk, memory, sketch, path):
+        """The chunk kernel leaves every observable exactly as ``process``.
+
+        Each admission path is forced through the break-even constant: 0
+        sends every chunk with a qualifier to the per-element loop, infinity
+        sends every chunk to the vectorised path.
+        """
+        monkeypatch.setattr(knowledge_free, "_VECTOR_ADMISSION_BREAK_EVEN",
+                            KERNEL_PATHS[path])
+        vectorised = KnowledgeFreeStrategy._admit_between_replacements
+        per_element = KnowledgeFreeStrategy._admit_per_element
+
+        def checked_vectorised(self, ids, acceptance, positive, qualifies,
+                               samples):
+            # with the constant at 0 the loop takes every chunk that has a
+            # qualifier
+            assert path == "vectorised" or not qualifies.any()
+            return vectorised(self, ids, acceptance, positive, qualifies,
+                              samples)
+
+        def checked_per_element(self, *args):
+            assert path == "loop"
+            return per_element(self, *args)
+
+        monkeypatch.setattr(KnowledgeFreeStrategy,
+                            "_admit_between_replacements", checked_vectorised)
+        monkeypatch.setattr(KnowledgeFreeStrategy, "_admit_per_element",
+                            checked_per_element)
+        stream = _kernel_stream(stream_name)
+        width, depth = sketch
+
+        def build():
+            return KnowledgeFreeStrategy(memory, sketch_width=width,
+                                         sketch_depth=depth, random_state=41)
+
+        reference, kernel = build(), build()
+        expected = run_stream_scalar(reference, stream)
+        result = run_stream(kernel, stream, batch_size=chunk)
+        assert np.array_equal(expected.outputs, result.outputs)
+        assert reference.memory == kernel.memory
+        assert np.array_equal(reference.sketch.table, kernel.sketch.table)
+        assert reference.sketch.total == kernel.sketch.total
+        assert reference.sketch.min_cell() == kernel.sketch.min_cell()
+        for coins in ("_accept_coins", "_victim_coins", "_sample_coins"):
+            assert (getattr(reference, coins).next()
+                    == getattr(kernel, coins).next()), coins
 
 
 class TestRunStream:

@@ -7,6 +7,7 @@ from repro.sketches.hashing import (
     MERSENNE_PRIME_61,
     UniversalHashFamily,
     UniversalHashFunction,
+    hash_rows,
     pairwise_collision_rate,
 )
 
@@ -28,6 +29,20 @@ class TestUniversalHashFunction:
         items = [1, 5, 10**12, 2**60, 999]
         vectorised = function.hash_many(items)
         assert list(vectorised) == [function(item) for item in items]
+
+    @pytest.mark.parametrize("items", [
+        [0, 1, 7, 10**12, MERSENNE_PRIME_61 - 1, MERSENNE_PRIME_61,
+         1 << 61, (1 << 61) + 5, 1 << 62, (1 << 63) - 1],
+        [-5, -1, 0, 3, 1 << 61],          # negative: object-dtype fallback
+    ], ids=["at-and-above-2^61", "negative"])
+    def test_hash_rows_matches_each_row(self, items):
+        functions = UniversalHashFamily(37, random_state=4).draw_many(5)
+        rows = hash_rows(functions, np.asarray(items, dtype=np.int64))
+        assert rows.shape == (5, len(items))
+        assert rows.dtype == np.int64
+        for row, function in zip(rows, functions):
+            assert row.tolist() == function.hash_many(items).tolist()
+            assert row.tolist() == [function(item) for item in items]
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ValueError):

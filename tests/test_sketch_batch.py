@@ -5,6 +5,8 @@ sketches, degenerate 1x1 dimensions, and exact agreement between the batch
 fast paths and repeated scalar calls on random streams.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,35 @@ class TestBatchScalarAgreement:
         assert np.array_equal(batched.table, scalar.table)
         assert batched.total == scalar.total
         assert batched.min_cell() == scalar.min_cell()
+
+    @pytest.mark.parametrize("width,depth,universe,chunk", [
+        (1, 1, 50, 700),      # one cell: the minimum climbs every element
+        (3, 2, 20, 97),
+        (16, 4, 300, 250),    # cells keep filling from zero mid-chunk
+        (200, 5, 5_000, 1_000),
+    ])
+    def test_count_min_update_and_estimate_agrees_with_scalar(
+            self, width, depth, universe, chunk):
+        chunked = CountMinSketch(width=width, depth=depth, random_state=16)
+        scalar = CountMinSketch(width=width, depth=depth, random_state=16)
+        rng = np.random.default_rng(17)
+        items = np.concatenate([rng.integers(0, universe, 1_500),
+                                np.full(300, 3),   # one id floods the sketch
+                                rng.integers(0, universe, 700)])
+        for start in range(0, items.size, chunk):
+            part = items[start:start + chunk]
+            estimates, min_cells = chunked.update_and_estimate(part)
+            expected_estimates, expected_min_cells = [], []
+            for item in part.tolist():
+                scalar.update(item)
+                expected_estimates.append(scalar.estimate(item))
+                expected_min_cells.append(scalar.min_cell())
+            assert estimates.tolist() == expected_estimates
+            assert min_cells.tolist() == expected_min_cells
+            assert np.array_equal(chunked.table, scalar.table)
+            assert chunked.total == scalar.total
+        empty = chunked.update_and_estimate([])
+        assert empty[0].size == empty[1].size == 0
 
     def test_count_min_weighted_update_batch(self):
         batched = CountMinSketch(width=32, depth=3, random_state=7)
@@ -199,3 +230,50 @@ class TestBufferedUniforms:
             BufferedUniforms(0, block_size=0)
         with pytest.raises(ValueError):
             BufferedUniforms(0).take(-1)
+
+    @pytest.mark.parametrize("block_size", [1, 3, 4096])
+    def test_peek_and_advance_interleave_with_next_and_take(self,
+                                                           block_size):
+        one_by_one = BufferedUniforms(21, block_size=block_size)
+        expected = [one_by_one.next() for _ in range(400)]
+        mixed = BufferedUniforms(21, block_size=block_size)
+        got = []
+        for step in range(40):
+            got.append(mixed.next())
+            got.extend(mixed.take(step % 5))
+            peeked = mixed.peek(step % 7 + 1)
+            used = min(step % 3, len(peeked))
+            got.extend(peeked[:used])
+            mixed.advance(used)
+            got.extend(mixed.take_array(step % 4).tolist())
+            peeked = mixed.peek_array(step % 6)
+            assert peeked.dtype == np.float64
+            got.extend(peeked[:step % 2].tolist())
+            mixed.advance(min(step % 2, peeked.size))
+        assert got == expected[:len(got)]
+        assert mixed.next() == expected[len(got)]
+
+    def test_peek_consumes_nothing(self):
+        stream = BufferedUniforms(22, block_size=8)
+        first = stream.peek(20)
+        assert stream.peek(5) == first[:5]
+        assert stream.peek(0) == []
+        assert stream.peek_array(30).tolist()[:20] == first
+        assert stream.take(20) == first
+
+    def test_pickle_between_peek_and_advance_keeps_the_stream(self):
+        reference = BufferedUniforms(23, block_size=4)
+        expected = [reference.next() for _ in range(30)]
+        stream = BufferedUniforms(23, block_size=4)
+        peeked = stream.peek(10)
+        restored = pickle.loads(pickle.dumps(stream))
+        restored.advance(6)
+        assert peeked[:6] == expected[:6]
+        assert [restored.next() for _ in range(24)] == expected[6:]
+
+    def test_peek_and_advance_reject_negative_counts(self):
+        stream = BufferedUniforms(24)
+        for method in (stream.peek, stream.peek_array, stream.advance,
+                       stream.take_array):
+            with pytest.raises(ValueError):
+                method(-1)
