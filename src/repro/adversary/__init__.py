@@ -1,13 +1,16 @@
 """Adversary and attack models (Sections III-B and V).
 
-* :mod:`repro.adversary.attacks` — targeted, flooding and peak attacks plus
-  Sybil identifier generation;
+* :mod:`repro.adversary.attacks` — targeted, flooding and peak attacks, their
+  scenario builders, and Sybil identifier generation;
 * :mod:`repro.adversary.adversary` — the strong-adversary controller that
-  composes attacks and biases a correct node's input stream up front;
-* :mod:`repro.adversary.view` — the read-only sampler observations the
-  strong adversary is allowed (memory, loads; never the coins);
+  composes static attacks and biases a correct node's input stream up front;
+* :mod:`repro.adversary.view` — the read-only sampler observation the
+  strong adversary is allowed (the memory; never the coins);
 * :mod:`repro.adversary.adaptive` — feedback-driven attacks scheduled
   chunk by chunk against the observed sampler state.
+
+A scenario's ``adversary`` list mixes both kinds: one coalition whose
+attacks mint Sybil identifiers from one shared factory.
 """
 
 from repro.adversary.adaptive import (

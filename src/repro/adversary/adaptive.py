@@ -5,9 +5,9 @@ whole malicious stream before ingestion begins, so it can never react to the
 sampler's observed state.  The classes here close that loop: an
 :class:`AdaptiveAdversary` owns a set of :class:`AdaptiveAttack` objects
 and, between chunks of the legitimate stream, lets each attack query a
-read-only :class:`~repro.adversary.view.SamplerView` (memory contents,
-per-shard loads, processed counts — observations only, never the sampler's
-coins) and schedule its next insertions accordingly.
+read-only :class:`~repro.adversary.view.SamplerView` (the memory contents —
+an observation, never the sampler's coins) and schedule its next insertions
+accordingly.
 
 Three attacks exercise the loop:
 
@@ -136,7 +136,7 @@ class MemoryFloodAttack(AdaptiveAttack):
 
     name = "memory_flood"
 
-    def __init__(self, *, insertion_budget: int,
+    def __init__(self, *, insertion_budget: int = 4096,
                  repetitions_per_target: int = 4) -> None:
         check_positive("insertion_budget", insertion_budget)
         check_positive("repetitions_per_target", repetitions_per_target)
@@ -192,6 +192,10 @@ class EclipseAttack(AdaptiveAttack):
         Flood repetitions per held target per observation.
     evictors_per_chunk:
         Fresh Sybil insertions per observation while targets remain held.
+    sybil_factory:
+        Source of the fresh Sybil evictors; defaults to a private factory
+        over ``correct_identifiers``.  The attacks of one adversary share a
+        factory so their Sybil identifiers never collide.
     """
 
     name = "eclipse"
@@ -201,7 +205,9 @@ class EclipseAttack(AdaptiveAttack):
                  targets: Optional[Sequence[int]] = None,
                  insertion_budget: int = 4096,
                  repetitions_per_target: int = 8,
-                 evictors_per_chunk: int = 16) -> None:
+                 evictors_per_chunk: int = 16,
+                 sybil_factory: Optional[SybilIdentifierFactory] = None
+                 ) -> None:
         check_positive("insertion_budget", insertion_budget)
         check_positive("repetitions_per_target", repetitions_per_target)
         check_positive("evictors_per_chunk", evictors_per_chunk)
@@ -211,7 +217,8 @@ class EclipseAttack(AdaptiveAttack):
                          for identifier in correct_identifiers]
         if not self._correct:
             raise ValueError("eclipse needs a non-empty correct population")
-        self._factory = SybilIdentifierFactory(self._correct)
+        self._factory = (sybil_factory if sybil_factory is not None
+                         else SybilIdentifierFactory(self._correct))
         self._sybils: List[int] = []
         self.repetitions_per_target = int(repetitions_per_target)
         self.evictors_per_chunk = int(evictors_per_chunk)
@@ -276,7 +283,7 @@ class BurstSybilAttack(AdaptiveAttack):
     each repeated ``repetitions`` times.  New arrivals carry small
     estimates and high insertion probabilities, so sybils inserted *during*
     a burst are indistinguishable from the legitimately new nodes they ride
-    in with.
+    in with.  ``sybil_factory`` works as for :class:`EclipseAttack`.
     """
 
     name = "burst_sybil"
@@ -285,13 +292,16 @@ class BurstSybilAttack(AdaptiveAttack):
                  distinct_identifiers: int = 64,
                  repetitions: int = 3,
                  burst_threshold: float = 0.2,
-                 cohort_size: int = 8) -> None:
+                 cohort_size: int = 8,
+                 sybil_factory: Optional[SybilIdentifierFactory] = None
+                 ) -> None:
         check_probability("burst_threshold", burst_threshold)
         check_positive("cohort_size", cohort_size)
         super().__init__(AttackBudget(
             distinct_identifiers=distinct_identifiers,
             repetitions=repetitions))
-        self._factory = SybilIdentifierFactory(correct_identifiers)
+        self._factory = (sybil_factory if sybil_factory is not None
+                         else SybilIdentifierFactory(correct_identifiers))
         self._sybils: List[int] = []
         self._seen: set = set()
         self.burst_threshold = float(burst_threshold)
@@ -342,19 +352,13 @@ class AdaptiveAdversary:
         The adversary's own generator — used for its scheduling choices and
         the random interleaving of insertions.  Completely separate from
         the sampler's coins.
-    observe_every:
-        Consult the attacks every ``observe_every`` chunks (1 = every
-        chunk); intermediate chunks pass through unmodified.
     """
 
     def __init__(self, attacks: Sequence[AdaptiveAttack], *,
-                 random_state: RandomState = None,
-                 observe_every: int = 1) -> None:
+                 random_state: RandomState = None) -> None:
         if not attacks:
             raise ValueError("an adaptive adversary needs at least one attack")
-        check_positive("observe_every", observe_every)
         self.attacks: List[AdaptiveAttack] = list(attacks)
-        self.observe_every = int(observe_every)
         self._rng = ensure_rng(random_state)
 
     @property
@@ -395,22 +399,19 @@ class AdaptiveStreamSource(StreamSource):
         self._adversary = adversary
         self._base = base
         self._view: Optional[SamplerView] = None
-        self._chunk_index = 0
         self._emitted: List[np.ndarray] = []
 
     def bind_sampler(self, view) -> None:
         """Receive the engine's read-only view of the driven sampler."""
         self._view = view
 
-    def next_chunk(self, rng=None) -> Optional[np.ndarray]:
+    def next_chunk(self) -> Optional[np.ndarray]:
         """Return the next adaptively biased chunk, or ``None`` when done."""
         chunk = self._base.next_chunk()
         if chunk is None:
             return None
-        index = self._chunk_index
-        self._chunk_index += 1
         insertions = np.zeros(0, dtype=np.int64)
-        if self._view is not None and index % self._adversary.observe_every == 0:
+        if self._view is not None:
             parts: List[np.ndarray] = []
             reg = telemetry.active()
             for attack in self._adversary.attacks:

@@ -14,11 +14,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from repro.adversary.attacks import (
-    AttackBudget,
     FloodingAttack,
     PeakAttack,
     SybilIdentifierFactory,
     TargetedAttack,
+    flooding_attack,
+    peak_attack,
+    targeted_attack,
 )
 from repro.streams.stream import IdentifierStream, merge_streams
 from repro.utils.rng import RandomState, ensure_rng
@@ -104,8 +106,8 @@ def make_peak_adversary(correct_identifiers: Sequence[int], *,
                         random_state: RandomState = None) -> Adversary:
     """Adversary of Figure 7(a): one identifier repeated ``peak_frequency`` times."""
     factory = SybilIdentifierFactory(correct_identifiers)
-    attack = PeakAttack(peak_frequency, factory)
-    return Adversary([attack], random_state=random_state)
+    return Adversary([peak_attack(peak_frequency, sybil_factory=factory)],
+                     random_state=random_state)
 
 
 def make_targeted_adversary(correct_identifiers: Sequence[int],
@@ -115,9 +117,9 @@ def make_targeted_adversary(correct_identifiers: Sequence[int],
                             random_state: RandomState = None) -> Adversary:
     """Adversary running a targeted attack against ``target_identifier``."""
     factory = SybilIdentifierFactory(correct_identifiers)
-    budget = AttackBudget(distinct_identifiers=distinct_identifiers,
-                          repetitions=repetitions)
-    attack = TargetedAttack(target_identifier, budget, factory)
+    attack = targeted_attack(target_identifier,
+                             distinct_identifiers=distinct_identifiers,
+                             repetitions=repetitions, sybil_factory=factory)
     return Adversary([attack], random_state=random_state)
 
 
@@ -127,9 +129,8 @@ def make_flooding_adversary(correct_identifiers: Sequence[int], *,
                             random_state: RandomState = None) -> Adversary:
     """Adversary running a flooding attack with the given identifier budget."""
     factory = SybilIdentifierFactory(correct_identifiers)
-    budget = AttackBudget(distinct_identifiers=distinct_identifiers,
-                          repetitions=repetitions)
-    attack = FloodingAttack(budget, factory)
+    attack = flooding_attack(distinct_identifiers=distinct_identifiers,
+                             repetitions=repetitions, sybil_factory=factory)
     return Adversary([attack], random_state=random_state)
 
 
@@ -141,15 +142,9 @@ def make_combined_adversary(correct_identifiers: Sequence[int],
                             random_state: RandomState = None) -> Adversary:
     """Adversary of Figure 7(b): targeted and flooding attacks combined."""
     factory = SybilIdentifierFactory(correct_identifiers)
-    targeted = TargetedAttack(
-        target_identifier,
-        AttackBudget(distinct_identifiers=targeted_identifiers,
-                     repetitions=repetitions),
-        factory,
-    )
-    flooding = FloodingAttack(
-        AttackBudget(distinct_identifiers=flooding_identifiers,
-                     repetitions=repetitions),
-        factory,
-    )
+    targeted = targeted_attack(target_identifier,
+                               distinct_identifiers=targeted_identifiers,
+                               repetitions=repetitions, sybil_factory=factory)
+    flooding = flooding_attack(distinct_identifiers=flooding_identifiers,
+                               repetitions=repetitions, sybil_factory=factory)
     return Adversary([targeted, flooding], random_state=random_state)

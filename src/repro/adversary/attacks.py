@@ -20,6 +20,9 @@ Each attack produces an :class:`~repro.streams.stream.IdentifierStream` of
 malicious insertions that can be merged with a correct stream via
 :func:`repro.streams.stream.merge_streams` or handed to the
 :class:`~repro.adversary.adversary.Adversary` controller.
+:func:`peak_attack`, :func:`targeted_attack` and :func:`flooding_attack`
+build each attack from its scenario parameters (the ``peak``, ``targeted``
+and ``flooding`` adversary kinds).
 """
 
 from __future__ import annotations
@@ -231,3 +234,29 @@ class PeakAttack:
             malicious=[self.peak_identifier],
             label=f"peak-attack(freq={self.peak_frequency})",
         )
+
+
+# ---------------------------------------------------------------------- #
+# Builders: the scenario-parameter form of each attack
+# ---------------------------------------------------------------------- #
+def peak_attack(peak_frequency: int = 50_000, *,
+                sybil_factory: SybilIdentifierFactory) -> PeakAttack:
+    """Peak attack of Figure 7(a): one identifier ``peak_frequency`` times."""
+    return PeakAttack(peak_frequency, sybil_factory)
+
+
+def targeted_attack(target_identifier: int, *, distinct_identifiers: int,
+                    repetitions: int = 1,
+                    sybil_factory: SybilIdentifierFactory) -> TargetedAttack:
+    """Targeted attack against ``target_identifier`` with the given budget."""
+    budget = AttackBudget(distinct_identifiers=distinct_identifiers,
+                          repetitions=repetitions)
+    return TargetedAttack(target_identifier, budget, sybil_factory)
+
+
+def flooding_attack(*, distinct_identifiers: int, repetitions: int = 1,
+                    sybil_factory: SybilIdentifierFactory) -> FloodingAttack:
+    """Flooding attack with the given identifier budget."""
+    budget = AttackBudget(distinct_identifiers=distinct_identifiers,
+                          repetitions=repetitions)
+    return FloodingAttack(budget, sybil_factory)

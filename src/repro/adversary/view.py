@@ -6,10 +6,10 @@ The paper's adversary observes everything public — the input stream, and
 why the Section V effort bounds hold.  :class:`SamplerView` enforces the
 boundary in code: it wraps any engine target (a strategy, a
 :class:`~repro.core.service.NodeSamplingService`, or a
-:class:`~repro.engine.sharded.ShardedSamplingService`) and exposes
-observations only — memory contents, per-shard loads, processed counts.
+:class:`~repro.engine.sharded.ShardedSamplingService`) and exposes one
+observation — the memory contents, the state every adaptive attack reads.
 
-On pipelined backends every observation drains in-flight chunks first (the
+On pipelined backends the observation drains in-flight chunks first (the
 backends' inspection commands all broadcast, which drains), so the state an
 adaptive adversary sees after chunk ``k`` is identical on every backend —
 the property that keeps adaptive runs bit-identical to serial per seed.
@@ -23,7 +23,7 @@ from repro.telemetry import runtime as telemetry
 
 
 class SamplerView:
-    """Observations of a running sampler, never its coins.
+    """The memory of a running sampler, never its coins.
 
     Every query is counted on the ``adversary.feedback_queries`` telemetry
     counter (when telemetry is enabled); instruments never draw randomness,
@@ -33,45 +33,17 @@ class SamplerView:
     def __init__(self, target: object) -> None:
         self._target = target
 
-    @staticmethod
-    def _record_query() -> None:
-        reg = telemetry.active()
-        if reg is not None:
-            reg.counter("adversary.feedback_queries").inc()
-
     def memory(self) -> Tuple[int, ...]:
         """The identifiers currently held in the sampler's memory ``Gamma``.
 
         For sharded targets this is the concatenation of every shard's
         memory (draining any pipelined chunks first).
         """
-        self._record_query()
+        reg = telemetry.active()
+        if reg is not None:
+            reg.counter("adversary.feedback_queries").inc()
         merged = getattr(self._target, "merged_memory", None)
         if callable(merged):
             return tuple(merged())
         strategy = getattr(self._target, "strategy", self._target)
         return tuple(strategy.memory)
-
-    def shard_loads(self) -> Tuple[int, ...]:
-        """Per-shard processed-element counts (one entry for unsharded)."""
-        self._record_query()
-        loads = getattr(self._target, "shard_loads", None)
-        if callable(loads):
-            return tuple(loads())
-        return (int(self._elements()),)
-
-    def elements_processed(self) -> int:
-        """Total number of input elements the sampler has admitted so far."""
-        self._record_query()
-        return int(self._elements())
-
-    def _elements(self) -> int:
-        target = self._target
-        elements = getattr(target, "elements_processed", None)
-        if elements is None:
-            strategy = getattr(target, "strategy", None)
-            if strategy is None:
-                raise TypeError(
-                    f"{type(target).__name__} exposes no elements_processed")
-            elements = strategy.elements_processed
-        return int(elements)

@@ -9,12 +9,15 @@ per-trial and averaged results.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.adversary.adaptive import AdaptiveAdversary, AdaptiveAttack
+from repro.adversary.adversary import Adversary
 from repro.core.base import SamplingStrategy
 from repro.core.knowledge_free import KnowledgeFreeStrategy
 from repro.core.omniscient import OmniscientStrategy
@@ -28,7 +31,8 @@ from repro.telemetry.registry import TIME_EDGES
 from repro.utils.rng import RandomState, ensure_rng, spawn_children
 from repro.utils.validation import check_positive
 
-#: A stream factory takes a per-trial RNG and returns the biased input stream.
+#: A stream factory takes a per-trial RNG and returns the trial's stream (the
+#: attacks of an ``attack_factory``, if any, are applied on top of it).
 StreamFactory = Callable[[np.random.Generator], IdentifierStream]
 
 #: A strategy factory takes the input stream and a per-trial RNG and returns a
@@ -43,12 +47,11 @@ StrategyFactory = Callable[[IdentifierStream, np.random.Generator], SamplingStra
 MetricsView = Callable[[IdentifierStream, IdentifierStream],
                        "tuple[IdentifierStream, IdentifierStream]"]
 
-#: An adversary factory takes the trial's legitimate stream and a dedicated
-#: spawned generator and returns a fresh
-#: :class:`~repro.adversary.adaptive.AdaptiveAdversary` — one per
-#: (trial, strategy) run, since adaptivity makes the biased stream depend on
-#: the driven sampler.
-AdversaryFactory = Callable[[IdentifierStream, np.random.Generator], object]
+#: An attack factory takes the trial's legitimate stream and returns the
+#: trial's attacks — static ones (merged into the stream up front) and
+#: :class:`~repro.adversary.adaptive.AdaptiveAttack` objects (scheduled
+#: between chunks).  Building attacks must consume no randomness.
+AttackFactory = Callable[[IdentifierStream], Sequence[object]]
 
 
 @dataclass
@@ -148,7 +151,7 @@ class ExperimentHarness:
     Parameters
     ----------
     stream_factory:
-        Builds the biased input stream of a trial from a per-trial RNG.
+        Builds the input stream of a trial from a per-trial RNG.
     strategy_factories:
         Mapping strategy-name -> factory; each strategy processes the same
         input stream within a trial.
@@ -169,14 +172,15 @@ class ExperimentHarness:
         input stream; the view only narrows what is measured — churn
         scenarios use it to report uniformity over the post-``T0`` suffix
         and the stable population only.
-    adversary_factory:
-        Optional adaptive-adversary factory.  When set, each strategy of a
-        trial is driven over an incrementally biased stream: the
-        legitimate stream is read chunk by chunk and, between chunks, the
-        adversary observes the running sampler through a read-only view
-        and interleaves its scheduled insertions.  The biased stream then
-        becomes that strategy's metric input (adaptivity makes the inputs
-        per-strategy).  Requires the batch driver.
+    attack_factory:
+        Optional builder of each trial's attacks, one adversary of
+        Section III-B.  Static attacks are merged into the trial's stream
+        once, with the trial's generator, before any strategy is built, so
+        every strategy of the trial reads the same biased input.  Adaptive
+        attacks run per strategy on a fresh copy: between chunks they
+        observe the running sampler through a read-only view and
+        interleave their insertions, so each strategy's metric input is
+        its own biased stream.  Adaptive attacks require the batch driver.
     """
 
     def __init__(self, stream_factory: StreamFactory,
@@ -185,22 +189,18 @@ class ExperimentHarness:
                  random_state: RandomState = None,
                  batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
                  metrics_view: Optional[MetricsView] = None,
-                 adversary_factory: Optional[AdversaryFactory] = None) -> None:
+                 attack_factory: Optional[AttackFactory] = None) -> None:
         check_positive("trials", trials)
         if not strategy_factories:
             raise ValueError("at least one strategy factory is required")
         if batch_size is not None:
             check_positive("batch_size", batch_size)
-        if adversary_factory is not None and batch_size is None:
-            raise ValueError(
-                "an adaptive adversary schedules insertions between chunks; "
-                "it requires the batch driver (set batch_size)")
         self.stream_factory = stream_factory
         self.strategy_factories = dict(strategy_factories)
         self.trials = int(trials)
         self.batch_size = batch_size
         self.metrics_view = metrics_view
-        self.adversary_factory = adversary_factory
+        self.attack_factory = attack_factory
         self._rng = ensure_rng(random_state)
 
     @classmethod
@@ -219,35 +219,56 @@ class ExperimentHarness:
 
         return ScenarioRunner(spec).compile()
 
-    def _drive(self, strategy: SamplingStrategy,
-               stream: IdentifierStream) -> IdentifierStream:
-        """Feed the stream to the strategy and return its output stream."""
-        if self.batch_size is None:
-            return strategy.process_stream(stream)
-        result = run_stream(strategy, stream, batch_size=self.batch_size)
-        label = getattr(strategy, "name", type(strategy).__name__)
-        return result.output_stream(
-            stream, label=f"{label}({stream.label})")
+    def trial_input(self, rng: np.random.Generator
+                    ) -> Tuple[IdentifierStream, List[AdaptiveAttack]]:
+        """Build one trial's input from the trial generator ``rng``.
 
-    def _drive_adaptive(self, strategy: SamplingStrategy,
-                        stream: IdentifierStream,
-                        adversary_rng: np.random.Generator):
-        """Drive one strategy under the adaptive adversary.
-
-        Returns the (biased input, output) stream pair: the legitimate
-        stream is pulled chunk-wise through the adversary's source, which
-        observes the running strategy between chunks and interleaves its
-        insertions.
+        Returns the stream every strategy of the trial reads — the
+        legitimate stream with the static attacks' insertions merged in —
+        and the adaptive attacks, which :meth:`run` schedules per strategy.
         """
-        adversary = self.adversary_factory(stream, adversary_rng)
-        source = adversary.source(
-            MaterializedStreamSource(stream, chunk_size=self.batch_size))
+        stream = self.stream_factory(rng)
+        attacks = (list(self.attack_factory(stream))
+                   if self.attack_factory is not None else [])
+        adaptive = [attack for attack in attacks
+                    if isinstance(attack, AdaptiveAttack)]
+        static = [attack for attack in attacks
+                  if not isinstance(attack, AdaptiveAttack)]
+        if adaptive and self.batch_size is None:
+            raise ValueError(
+                "adaptive attacks schedule insertions between chunks; they "
+                "require the batch driver (set batch_size)")
+        if static:
+            stream = Adversary(static, random_state=rng).bias(stream)
+        return stream, adaptive
+
+    def _drive(self, strategy: SamplingStrategy, stream: IdentifierStream,
+               adaptive: List[AdaptiveAttack], rng: np.random.Generator
+               ) -> Tuple[IdentifierStream, IdentifierStream]:
+        """Feed one strategy its input; return the (input, output) pair.
+
+        The stream is read chunk by chunk through a
+        :class:`~repro.streams.source.StreamSource`; with adaptive attacks
+        the source interleaves their insertions, scheduled against the
+        running strategy, and the biased stream it emitted is the input.
+        """
+        if self.batch_size is None:
+            return stream, strategy.process_stream(stream)
+        source = MaterializedStreamSource(stream, chunk_size=self.batch_size)
+        if adaptive:
+            # Fresh attack state per run, and the adversary's own spawned
+            # child generator — separate from the sampler's coins, as the
+            # paper's model requires.  Spawning advances the trial
+            # generator's spawn key only, never its bit stream.
+            adversary = AdaptiveAdversary(
+                copy.deepcopy(adaptive),
+                random_state=spawn_children(rng, 1)[0])
+            source = adversary.source(source)
         result = run_stream(strategy, source, batch_size=self.batch_size)
         biased = source.materialized()
         label = getattr(strategy, "name", type(strategy).__name__)
-        output = result.output_stream(
+        return biased, result.output_stream(
             biased, label=f"{label}({biased.label})")
-        return biased, output
 
     def run(self) -> ExperimentResult:
         """Run all trials and return the collected results."""
@@ -266,33 +287,13 @@ class ExperimentHarness:
             view_applications = reg.counter("harness.metrics_view_applied")
         for trial_index, trial_rng in enumerate(trial_rngs):
             trial_started = time.perf_counter()
-            stream = self.stream_factory(trial_rng)
-            adaptive = self.adversary_factory is not None
-            if self.metrics_view is None and not adaptive:
-                # the input-side metrics are shared by every strategy of the
-                # trial; with a view they depend on the (input, output)
-                # pair, and under an adaptive adversary each strategy faces
-                # its own biased input
-                shared_support = stream.universe
-                shared_input_divergence = kl_divergence_to_uniform(
-                    stream, support=shared_support)
-                shared_input_max_frequency = stream.max_frequency()
+            stream, adaptive = self.trial_input(trial_rng)
             for name, factory in self.strategy_factories.items():
                 strategy = factory(stream, trial_rng)
                 drive_started = time.perf_counter()
                 try:
-                    if adaptive:
-                        # The adversary's coins are its own spawned child
-                        # generator — separate from the sampler's, as the
-                        # paper's model requires.  Spawning advances the
-                        # trial generator's spawn key only, never its bit
-                        # stream, so the sampler's coins are untouched.
-                        adversary_rng = spawn_children(trial_rng, 1)[0]
-                        input_stream, output = self._drive_adaptive(
-                            strategy, stream, adversary_rng)
-                    else:
-                        input_stream = stream
-                        output = self._drive(strategy, stream)
+                    input_stream, output = self._drive(strategy, stream,
+                                                       adaptive, trial_rng)
                 finally:
                     # process-backed sharded services hold worker processes;
                     # release them as soon as the trial's outputs are read
@@ -304,23 +305,9 @@ class ExperimentHarness:
                     drives_total.inc()
                 if self.metrics_view is None:
                     metric_input, metric_output = input_stream, output
-                    if adaptive:
-                        support = input_stream.universe
-                        input_divergence = kl_divergence_to_uniform(
-                            input_stream, support=support)
-                        input_max_frequency = input_stream.max_frequency()
-                    else:
-                        support = shared_support
-                        input_divergence = shared_input_divergence
-                        input_max_frequency = shared_input_max_frequency
                 else:
                     metric_input, metric_output = self.metrics_view(
                         input_stream, output)
-                    support = metric_input.universe
-                    input_divergence = kl_divergence_to_uniform(
-                        metric_input, support=support,
-                        penalise_out_of_support=True)
-                    input_max_frequency = metric_input.max_frequency()
                 if reg is not None:
                     metric_elements.inc(len(metric_output.identifiers))
                     if self.metrics_view is not None:
@@ -329,6 +316,10 @@ class ExperimentHarness:
                 # stable population), so out-of-support outputs are scored
                 # as uniformity violations rather than rejected
                 penalise = self.metrics_view is not None
+                support = metric_input.universe
+                input_divergence = kl_divergence_to_uniform(
+                    metric_input, support=support,
+                    penalise_out_of_support=penalise)
                 output_divergence = kl_divergence_to_uniform(
                     metric_output, support=support,
                     penalise_out_of_support=penalise)
@@ -340,7 +331,7 @@ class ExperimentHarness:
                     input_divergence=input_divergence,
                     output_divergence=output_divergence,
                     gain=gain,
-                    input_max_frequency=input_max_frequency,
+                    input_max_frequency=metric_input.max_frequency(),
                     output_max_frequency=metric_output.max_frequency(),
                     stream_size=input_stream.size,
                 ))

@@ -6,10 +6,11 @@ pair always yields the same spec list — a fuzz failure reported by CI is
 reproduced locally with the same two numbers.
 
 The sampled space deliberately crosses every plane the differential
-executor must keep bit-identical: stream families, static and adaptive
-adversaries, churn-model streams, shard counts, batch sizes and autoscale
-policies.  Sizes are kept small (a few thousand identifiers per stream) so
-a 20-spec differential sweep stays inside a CI smoke budget.
+executor must keep bit-identical: stream families, adversary lists with
+static attacks, adaptive attacks or both, churn-model streams, shard
+counts, batch sizes and autoscale policies.  Sizes are kept small (a few
+thousand identifiers per stream) so a 20-spec differential sweep stays
+inside a CI smoke budget.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _strategy_sections(rng: np.random.Generator) -> List[Dict[str, Any]]:
     return sections
 
 
-def _adaptive_section(rng: np.random.Generator) -> Dict[str, Any]:
+def _adaptive_attacks(rng: np.random.Generator) -> List[Dict[str, Any]]:
     """Draw one or two adaptive attacks with small budgets."""
     attacks = []
     kind = _choice(rng, ["memory_flood", "eclipse", "burst_sybil"])
@@ -91,8 +92,7 @@ def _adaptive_section(rng: np.random.Generator) -> Dict[str, Any]:
     if rng.random() < 0.3:
         attacks.append({"kind": "memory_flood", "params": {
             "insertion_budget": int(rng.integers(100, 500))}})
-    return {"attacks": attacks,
-            "observe_every": int(_choice(rng, [1, 1, 2, 4]))}
+    return attacks
 
 
 def _engine_section(rng: np.random.Generator) -> Dict[str, Any]:
@@ -131,7 +131,8 @@ def generate_specs(count: int, seed: int) -> List[ScenarioSpec]:
     specs: List[ScenarioSpec] = []
     for index in range(count):
         mode = _choice(rng, ["plain", "plain", "static", "adaptive",
-                             "adaptive", "churn"])
+                             "adaptive", "static+adaptive", "churn"])
+        adaptive = mode in ("adaptive", "static+adaptive")
         data: Dict[str, Any] = {
             "name": f"fuzz-{seed}-{index}",
             "seed": int(rng.integers(0, 2**31 - 1)),
@@ -148,13 +149,15 @@ def generate_specs(count: int, seed: int) -> List[ScenarioSpec]:
                 "initial_population": int(rng.integers(100, 300)),
             }
         else:
-            data["stream"] = _stream_section(rng, adaptive=(mode
-                                                            == "adaptive"))
-        if mode == "static":
-            data["adversary"] = {"kind": "flooding", "params": {
+            data["stream"] = _stream_section(rng, adaptive=adaptive)
+        attacks: List[Dict[str, Any]] = []
+        if mode in ("static", "static+adaptive"):
+            attacks.append({"kind": "flooding", "params": {
                 "distinct_identifiers": int(rng.integers(4, 32)),
-                "repetitions": int(rng.integers(2, 10))}}
-        elif mode == "adaptive":
-            data["adaptive_adversary"] = _adaptive_section(rng)
+                "repetitions": int(rng.integers(2, 10))}})
+        if adaptive:
+            attacks.extend(_adaptive_attacks(rng))
+        if attacks:
+            data["adversary"] = attacks
         specs.append(ScenarioSpec.from_dict(data))
     return specs

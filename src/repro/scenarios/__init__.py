@@ -9,7 +9,8 @@ adversarial, networked, sharded — is declared through one serializable
   dataclasses;
 * :mod:`repro.scenarios.registry` — decorator-based component registries
   (``register_strategy``, ``register_stream``, ``register_sketch``,
-  ``register_adversary``) with parameter validation;
+  ``register_adversary``) with parameter validation; one adversary registry
+  holds the static and the adaptive attack kinds;
 * :mod:`repro.scenarios.builtins` — the stock component registrations;
 * :mod:`repro.scenarios.runner` — compilation to the experiment harness or
   the system simulator, execution on the batch driver.
@@ -30,7 +31,6 @@ True
 """
 
 from repro.scenarios.registry import (
-    ADAPTIVE_ADVERSARIES,
     ADVERSARIES,
     SKETCHES,
     STRATEGIES,
@@ -38,14 +38,12 @@ from repro.scenarios.registry import (
     ComponentRegistry,
     ScenarioError,
     UnknownComponentError,
-    register_adaptive_adversary,
     register_adversary,
     register_sketch,
     register_strategy,
     register_stream,
 )
 from repro.scenarios.spec import (
-    AdaptiveAdversarySpec,
     ChurnSpec,
     ComponentSpec,
     EngineSpec,
@@ -75,7 +73,6 @@ def available_components() -> dict:
         "streams": STREAMS.keys(),
         "sketches": SKETCHES.keys(),
         "adversaries": ADVERSARIES.keys(),
-        "adaptive_adversaries": ADAPTIVE_ADVERSARIES.keys(),
     }
 
 
@@ -87,12 +84,10 @@ __all__ = [
     "STREAMS",
     "SKETCHES",
     "ADVERSARIES",
-    "ADAPTIVE_ADVERSARIES",
     "register_strategy",
     "register_stream",
     "register_sketch",
     "register_adversary",
-    "register_adaptive_adversary",
     "ComponentSpec",
     "StrategySpec",
     "NetworkSpec",
@@ -100,7 +95,6 @@ __all__ = [
     "SweepSpec",
     "EngineSpec",
     "MetricsSpec",
-    "AdaptiveAdversarySpec",
     "ScenarioSpec",
     "ScenarioResult",
     "SweepResult",

@@ -13,11 +13,10 @@ from repro.adversary.adaptive import (
     EclipseAttack,
     MemoryFloodAttack,
 )
-from repro.adversary.adversary import (
-    make_combined_adversary,
-    make_flooding_adversary,
-    make_peak_adversary,
-    make_targeted_adversary,
+from repro.adversary.attacks import (
+    flooding_attack,
+    peak_attack,
+    targeted_attack,
 )
 from repro.core.adaptive import AdaptiveKnowledgeFreeStrategy
 from repro.core.baselines import (
@@ -29,7 +28,6 @@ from repro.core.knowledge_free import KnowledgeFreeStrategy
 from repro.core.omniscient import OmniscientStrategy
 from repro.scenarios.registry import (
     ScenarioError,
-    register_adaptive_adversary,
     register_adversary,
     register_sketch,
     register_strategy,
@@ -194,54 +192,12 @@ register_sketch("exact", ExactFrequencyCounter)
 
 
 # --------------------------------------------------------------------- #
-# Adversaries
+# Adversaries: static attacks are merged into the stream before ingestion,
+# adaptive ones are scheduled between chunks against the running sampler
 # --------------------------------------------------------------------- #
-register_adversary("peak", make_peak_adversary)
-register_adversary("targeted", make_targeted_adversary)
-register_adversary("flooding", make_flooding_adversary)
-register_adversary("combined", make_combined_adversary)
-
-
-# --------------------------------------------------------------------- #
-# Adaptive adversaries (feedback-driven attacks, scheduled chunk-wise)
-# --------------------------------------------------------------------- #
-@register_adaptive_adversary("memory_flood")
-def _memory_flood_attack(insertion_budget: int = 4096,
-                         repetitions_per_target: int = 4):
-    """Flood the identifiers the sampler currently holds (estimate poisoning)."""
-    return MemoryFloodAttack(insertion_budget=insertion_budget,
-                             repetitions_per_target=repetitions_per_target)
-
-
-@register_adaptive_adversary("eclipse")
-def _eclipse_attack(target_fraction: float = 0.1, targets=None,
-                    insertion_budget: int = 4096,
-                    repetitions_per_target: int = 8,
-                    evictors_per_chunk: int = 16, *,
-                    correct_identifiers=None):
-    """Eclipse a neighbour set: flood held targets, evict them with sybils."""
-    if correct_identifiers is None:
-        raise ScenarioError(
-            "the eclipse attack needs the trial's correct population; it "
-            "can only run inside a scenario")
-    return EclipseAttack(correct_identifiers,
-                         target_fraction=target_fraction, targets=targets,
-                         insertion_budget=insertion_budget,
-                         repetitions_per_target=repetitions_per_target,
-                         evictors_per_chunk=evictors_per_chunk)
-
-
-@register_adaptive_adversary("burst_sybil")
-def _burst_sybil_attack(distinct_identifiers: int = 64, repetitions: int = 3,
-                        burst_threshold: float = 0.2, cohort_size: int = 8, *,
-                        correct_identifiers=None):
-    """Colluding sybils that piggyback on flash-crowd join bursts."""
-    if correct_identifiers is None:
-        raise ScenarioError(
-            "the burst_sybil attack needs the trial's correct population; "
-            "it can only run inside a scenario")
-    return BurstSybilAttack(correct_identifiers,
-                            distinct_identifiers=distinct_identifiers,
-                            repetitions=repetitions,
-                            burst_threshold=burst_threshold,
-                            cohort_size=cohort_size)
+register_adversary("peak", peak_attack)
+register_adversary("targeted", targeted_attack)
+register_adversary("flooding", flooding_attack)
+register_adversary("memory_flood", MemoryFloodAttack)
+register_adversary("eclipse", EclipseAttack)
+register_adversary("burst_sybil", BurstSybilAttack)

@@ -181,12 +181,11 @@ class ComponentRegistry:
                 f"keys={self.keys()})")
 
 
-#: The five global registries backing the scenario API.
+#: The four global registries backing the scenario API.
 STRATEGIES = ComponentRegistry("strategy")
 STREAMS = ComponentRegistry("stream")
 SKETCHES = ComponentRegistry("sketch")
 ADVERSARIES = ComponentRegistry("adversary")
-ADAPTIVE_ADVERSARIES = ComponentRegistry("adaptive adversary")
 
 
 def register_strategy(key: str, builder: Optional[Callable] = None):
@@ -221,24 +220,16 @@ def register_sketch(key: str, builder: Optional[Callable] = None):
 
 
 def register_adversary(key: str, builder: Optional[Callable] = None):
-    """Register an adversary builder under ``key`` (decorator-friendly).
-
-    The builder is called with the spec's ``params`` plus ``random_state``
-    and ``correct_identifiers`` (the universe of the legitimate stream) and
-    must return an :class:`~repro.adversary.adversary.Adversary`.
-    """
-    return ADVERSARIES.register(key, builder)
-
-
-def register_adaptive_adversary(key: str,
-                                builder: Optional[Callable] = None):
-    """Register an adaptive-attack builder under ``key`` (decorator-friendly).
+    """Register an attack builder under ``key`` (decorator-friendly).
 
     The builder is called with the spec's ``params`` plus any of the
-    context keywords it declares — ``correct_identifiers`` (the universe of
-    the legitimate stream) and ``random_state`` — and must return an
-    :class:`~repro.adversary.adaptive.AdaptiveAttack`.  Attacks are
-    composed into one :class:`~repro.adversary.adaptive.AdaptiveAdversary`
-    by the scenario runner.
+    context keywords it declares: ``correct_identifiers`` (the universe of
+    the legitimate stream) and ``sybil_factory`` (the
+    :class:`~repro.adversary.attacks.SybilIdentifierFactory` every attack
+    of the scenario mints Sybil identifiers from).  It returns either a
+    static attack — merged into the stream before ingestion by
+    :meth:`~repro.adversary.adversary.Adversary.bias` — or an
+    :class:`~repro.adversary.adaptive.AdaptiveAttack`, scheduled between
+    chunks against the running sampler.
     """
-    return ADAPTIVE_ADVERSARIES.register(key, builder)
+    return ADVERSARIES.register(key, builder)

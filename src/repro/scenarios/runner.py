@@ -22,6 +22,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.adversary.adaptive import AdaptiveAttack
+from repro.adversary.attacks import SybilIdentifierFactory
 from repro.core.service import NodeSamplingService
 from repro.engine.sharded import ShardedSamplingService
 from repro.network.node import NodeConfig
@@ -246,9 +248,7 @@ class ScenarioRunner:
                  strategies: Optional[ComponentRegistry] = None,
                  streams: Optional[ComponentRegistry] = None,
                  sketches: Optional[ComponentRegistry] = None,
-                 adversaries: Optional[ComponentRegistry] = None,
-                 adaptive_adversaries: Optional[ComponentRegistry] = None
-                 ) -> None:
+                 adversaries: Optional[ComponentRegistry] = None) -> None:
         if isinstance(spec, str):
             spec = ScenarioSpec.from_json(spec)
         elif isinstance(spec, dict):
@@ -262,8 +262,6 @@ class ScenarioRunner:
         self._streams = streams or registries.STREAMS
         self._sketches = sketches or registries.SKETCHES
         self._adversaries = adversaries or registries.ADVERSARIES
-        self._adaptive_adversaries = (adaptive_adversaries
-                                      or registries.ADAPTIVE_ADVERSARIES)
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -287,21 +285,8 @@ class ScenarioRunner:
             self._streams.check_params("churn", self._churn_params(spec.churn))
         else:
             self._streams.check_params(spec.stream.kind, spec.stream.params)
-        if spec.adversary is not None:
-            self._adversaries.check_params(spec.adversary.kind,
-                                           spec.adversary.params)
-        if spec.adaptive_adversary is not None:
-            for attack in spec.adaptive_adversary.attacks:
-                self._adaptive_adversaries.check_params(attack.kind,
-                                                        attack.params)
-            for strategy in spec.strategies:
-                if self._strategies.accepts(strategy.kind, "stream"):
-                    raise ScenarioError(
-                        f"strategy {strategy.kind!r} needs the full input "
-                        "stream up front (it declares a 'stream' context "
-                        "parameter); an adaptive adversary generates the "
-                        "stream incrementally, so such strategies cannot "
-                        f"run in scenario {spec.name!r}")
+        for attack in spec.adversary or []:
+            self._adversaries.check_params(attack.kind, attack.params)
         for strategy in spec.strategies:
             self._strategies.check_params(strategy.kind, strategy.params)
             if strategy.sketch is not None:
@@ -331,11 +316,9 @@ class ScenarioRunner:
     def stream_factory(self):
         """Return the harness stream factory compiled from the spec.
 
-        The factory builds the trial's base stream from the stream registry
-        (the churn component when a ``churn`` section is present) and, when
-        an adversary section is present, biases it with the composed attacks
-        (the adversary's Sybil identifiers extend the stream universe
-        through :meth:`Adversary.bias`).
+        The factory builds the trial's legitimate stream from the stream
+        registry (the churn component when a ``churn`` section is present);
+        the harness merges in the static attacks of :meth:`attack_factory`.
         """
         spec = self.spec
         if spec.churn is not None:
@@ -348,44 +331,55 @@ class ScenarioRunner:
             return churn_factory
 
         def factory(rng: np.random.Generator) -> IdentifierStream:
-            stream = self._streams.build(spec.stream.kind, spec.stream.params,
-                                         random_state=rng)
-            if spec.adversary is not None:
-                adversary = self._adversaries.build(
-                    spec.adversary.kind, spec.adversary.params,
-                    correct_identifiers=stream.universe, random_state=rng)
-                stream = adversary.bias(stream)
-            return stream
+            return self._streams.build(spec.stream.kind, spec.stream.params,
+                                       random_state=rng)
 
         return factory
 
-    def adaptive_adversary_factory(self):
-        """Return the harness adversary factory, or ``None`` without one.
+    def attack_factory(self):
+        """Return the harness attack factory, or ``None`` without attacks.
 
-        The factory builds one fresh :class:`AdaptiveAdversary` per
-        (trial, strategy) run — adaptivity makes the biased stream depend
-        on the driven sampler, so each strategy faces its own adversary
-        instance — from the trial's legitimate stream (for Sybil-factory
-        collision avoidance) and a dedicated spawned generator.
+        The factory builds the ``adversary`` list against one trial's
+        legitimate stream: ``correct_identifiers`` is its universe, and
+        every attack mints Sybil identifiers from one shared
+        :class:`~repro.adversary.attacks.SybilIdentifierFactory`, so the
+        coalition's identifiers never collide.  Building draws no
+        randomness.  Adaptive attacks are rejected here, before any
+        strategy runs, with the scalar driver or a strategy that needs the
+        whole stream up front.
         """
-        section = self.spec.adaptive_adversary
-        if section is None:
+        spec = self.spec
+        if spec.adversary is None:
             return None
-        attacks = list(section.attacks)
-        observe_every = section.observe_every
-        registry = self._adaptive_adversaries
 
-        def factory(stream: IdentifierStream, rng: np.random.Generator):
-            from repro.adversary.adaptive import AdaptiveAdversary
-
-            built = [registry.build(attack.kind, attack.params,
-                                    correct_identifiers=stream.universe,
-                                    random_state=rng)
-                     for attack in attacks]
-            return AdaptiveAdversary(built, random_state=rng,
-                                     observe_every=observe_every)
+        def factory(stream: IdentifierStream) -> List[Any]:
+            sybils = SybilIdentifierFactory(stream.universe)
+            attacks = [self._adversaries.build(
+                attack.kind, attack.params,
+                correct_identifiers=stream.universe, sybil_factory=sybils)
+                for attack in spec.adversary]
+            if any(isinstance(attack, AdaptiveAttack) for attack in attacks):
+                self._check_adaptive()
+            return attacks
 
         return factory
+
+    def _check_adaptive(self) -> None:
+        """Reject what an adaptive attack cannot run with."""
+        spec = self.spec
+        if spec.engine.driver != "batch":
+            raise ScenarioError(
+                f"scenario {spec.name!r} has an adaptive attack; its "
+                "feedback loop is chunk-granular, so the engine driver must "
+                "be 'batch'")
+        for strategy in spec.strategies:
+            if self._strategies.accepts(strategy.kind, "stream"):
+                raise ScenarioError(
+                    f"strategy {strategy.kind!r} needs the full input "
+                    "stream up front (it declares a 'stream' context "
+                    "parameter); an adaptive attack generates the stream "
+                    f"incrementally, so it cannot run in scenario "
+                    f"{spec.name!r}")
 
     @staticmethod
     def _stable_metrics_view(stream: IdentifierStream,
@@ -499,7 +493,7 @@ class ScenarioRunner:
             random_state=(spec.seed if random_state is None else random_state),
             batch_size=batch_size,
             metrics_view=metrics_view,
-            adversary_factory=self.adaptive_adversary_factory(),
+            attack_factory=self.attack_factory(),
         )
 
     def system_config(self) -> SystemConfig:
@@ -615,7 +609,6 @@ class ScenarioRunner:
                 streams=self._streams,
                 sketches=self._sketches,
                 adversaries=self._adversaries,
-                adaptive_adversaries=self._adaptive_adversaries,
             )
             if runner.spec.mode == "network":
                 result = runner._run_network(random_state=master)

@@ -13,7 +13,9 @@ results.
 The component sections (``stream``, ``sketch``, ``adversary``) reference the
 string keys of the :mod:`repro.scenarios.registry` registries; the
 :class:`~repro.scenarios.runner.ScenarioRunner` resolves and validates them
-at compile time.
+at compile time.  The ``adversary`` section is one list of attack
+components, static and adaptive kinds alike: the Section III-B adversary is
+a single coalition whatever mix of attacks it runs.
 """
 
 from __future__ import annotations
@@ -429,58 +431,6 @@ class ChurnSpec:
 
 
 @dataclass
-class AdaptiveAdversarySpec:
-    """Feedback-driven adversary section (the strong model of Section III-B).
-
-    Unlike the static ``adversary`` section — whose malicious stream is
-    generated before ingestion begins — the attacks named here are
-    consulted *between chunks*: each may query a read-only view of the
-    running sampler (memory contents, loads; never its coins) and schedule
-    its next insertions accordingly.  Mutually exclusive with the static
-    ``adversary`` and ``churn`` sections, and requires the batch driver
-    (the feedback loop is chunk-granular).
-
-    Attributes
-    ----------
-    attacks:
-        Registry-resolved adaptive attacks
-        (:data:`~repro.scenarios.registry.ADAPTIVE_ADVERSARIES` keys).
-    observe_every:
-        Consult the attacks every this many chunks (1 = every chunk).
-    """
-
-    attacks: List[ComponentSpec] = field(default_factory=list)
-    observe_every: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.attacks:
-            raise ScenarioError(
-                "adaptive_adversary.attacks must name at least one attack")
-        check_positive("adaptive_adversary.observe_every", self.observe_every)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Return the JSON-serializable form of the section."""
-        return {"attacks": [attack.to_dict() for attack in self.attacks],
-                "observe_every": self.observe_every}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AdaptiveAdversarySpec":
-        """Rebuild an adaptive-adversary section from its dict form."""
-        data = _require_mapping("adaptive_adversary", data)
-        _check_known_keys("adaptive_adversary", data,
-                          ["attacks", "observe_every"])
-        attacks = data.get("attacks")
-        if not isinstance(attacks, list):
-            raise ScenarioError(
-                "adaptive_adversary.attacks must be a list of components")
-        return cls(
-            attacks=[ComponentSpec.from_dict(entry, "adaptive attack")
-                     for entry in attacks],
-            observe_every=int(data.get("observe_every", 1)),
-        )
-
-
-@dataclass
 class MetricsSpec:
     """Which metric groups the scenario report includes."""
 
@@ -523,8 +473,8 @@ class ScenarioSpec:
 
     * **stream mode** (``network is None``) — a synthetic/trace stream (or a
       churn-generated one when a ``churn`` section replaces ``stream``),
-      optionally biased by an adversary, processed by every strategy in the
-      ensemble over ``trials`` independent repetitions;
+      optionally attacked by the ``adversary`` list, processed by every
+      strategy in the ensemble over ``trials`` independent repetitions;
     * **network mode** (``network`` set) — the end-to-end system simulation,
       whose per-node sampler outputs are reported; an optional ``churn``
       section makes the membership dynamic until ``T0``.
@@ -542,8 +492,7 @@ class ScenarioSpec:
     trials: int = 1
     stream: Optional[ComponentSpec] = None
     strategies: List[StrategySpec] = field(default_factory=list)
-    adversary: Optional[ComponentSpec] = None
-    adaptive_adversary: Optional[AdaptiveAdversarySpec] = None
+    adversary: Optional[List[ComponentSpec]] = None
     network: Optional[NetworkSpec] = None
     churn: Optional[ChurnSpec] = None
     sweep: Optional[SweepSpec] = None
@@ -569,30 +518,16 @@ class ScenarioSpec:
                 raise ScenarioError(
                     f"scenario {self.name!r} is a churn stream scenario; the "
                     "churn section requires 'initial_population'")
+            if self.adversary is not None and not self.adversary:
+                raise ScenarioError(
+                    f"scenario {self.name!r} has an empty adversary list; "
+                    "name at least one attack or drop the section")
             if self.churn is not None and self.adversary is not None:
                 raise ScenarioError(
                     f"scenario {self.name!r} combines churn and adversary "
                     "sections; an adversary would rewrite the stream and "
-                    "invalidate its pre-/post-T0 split")
-            if self.adaptive_adversary is not None:
-                if self.adversary is not None:
-                    raise ScenarioError(
-                        f"scenario {self.name!r} has both adversary and "
-                        "adaptive_adversary sections; the adaptive adversary "
-                        "schedules every malicious insertion itself, so "
-                        "declare only one")
-                if self.churn is not None:
-                    raise ScenarioError(
-                        f"scenario {self.name!r} combines churn and "
-                        "adaptive_adversary sections; an adversary would "
-                        "rewrite the stream and invalidate its pre-/post-T0 "
-                        "split (use a churn-model *stream* component such as "
-                        "'flash_crowd' instead)")
-                if self.engine.driver != "batch":
-                    raise ScenarioError(
-                        f"scenario {self.name!r} has an adaptive_adversary "
-                        "section; the feedback loop is chunk-granular, so "
-                        "the engine driver must be 'batch'")
+                    "invalidate its pre-/post-T0 split (use a churn-model "
+                    "*stream* component such as 'flash_crowd' instead)")
             if not self.strategies:
                 raise ScenarioError(
                     f"scenario {self.name!r} needs at least one strategy")
@@ -602,8 +537,7 @@ class ScenarioSpec:
                     f"scenario {self.name!r} has duplicate strategy labels; "
                     "set distinct 'label' fields")
         else:
-            if (self.stream is not None or self.adversary is not None
-                    or self.adaptive_adversary is not None):
+            if self.stream is not None or self.adversary is not None:
                 raise ScenarioError(
                     f"scenario {self.name!r} is a network scenario; the "
                     "dissemination protocol generates the streams, so "
@@ -651,9 +585,8 @@ class ScenarioSpec:
             data["strategies"] = [strategy.to_dict()
                                   for strategy in self.strategies]
             if self.adversary is not None:
-                data["adversary"] = self.adversary.to_dict()
-            if self.adaptive_adversary is not None:
-                data["adaptive_adversary"] = self.adaptive_adversary.to_dict()
+                data["adversary"] = [attack.to_dict()
+                                     for attack in self.adversary]
         if self.churn is not None:
             data["churn"] = self.churn.to_dict()
         if self.sweep is not None:
@@ -666,13 +599,15 @@ class ScenarioSpec:
         data = _require_mapping("scenario", data)
         _check_known_keys("scenario", data,
                           ["name", "seed", "trials", "stream", "strategies",
-                           "adversary", "adaptive_adversary", "network",
-                           "churn", "sweep", "engine", "metrics"])
+                           "adversary", "network", "churn", "sweep",
+                           "engine", "metrics"])
         if "name" not in data:
             raise ScenarioError("scenario requires a 'name' key")
         stream = data.get("stream")
         adversary = data.get("adversary")
-        adaptive_adversary = data.get("adaptive_adversary")
+        if adversary is not None and not isinstance(adversary, list):
+            raise ScenarioError(
+                "'adversary' must be a list of attack components")
         network = data.get("network")
         churn = data.get("churn")
         sweep = data.get("sweep")
@@ -686,11 +621,9 @@ class ScenarioSpec:
             stream=(ComponentSpec.from_dict(stream, "stream")
                     if stream is not None else None),
             strategies=[StrategySpec.from_dict(entry) for entry in strategies],
-            adversary=(ComponentSpec.from_dict(adversary, "adversary")
+            adversary=([ComponentSpec.from_dict(entry, "adversary")
+                        for entry in adversary]
                        if adversary is not None else None),
-            adaptive_adversary=(
-                AdaptiveAdversarySpec.from_dict(adaptive_adversary)
-                if adaptive_adversary is not None else None),
             network=(NetworkSpec.from_dict(network)
                      if network is not None else None),
             churn=(ChurnSpec.from_dict(churn)

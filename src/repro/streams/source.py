@@ -47,18 +47,15 @@ class StreamSource(abc.ABC):
         """Receive a read-only view of the sampler this source will feed.
 
         Called once by the engine before the first chunk is pulled.  The
-        view exposes observations only (memory contents, loads, processed
-        counts) — never the sampler's random coins, matching the paper's
-        strong-adversary model (Section III-B).
+        view exposes the sampler's memory contents only — never its random
+        coins, matching the paper's strong-adversary model (Section III-B).
         """
 
     @abc.abstractmethod
-    def next_chunk(self, rng=None) -> Optional[np.ndarray]:
+    def next_chunk(self) -> Optional[np.ndarray]:
         """Return the next chunk as an int64 array, or ``None`` when done.
 
-        ``rng`` is accepted for protocol compatibility but sources carry
-        their own randomness; the engine calls ``next_chunk()`` bare, so a
-        source's output must never depend on the argument.
+        Sources carry their own randomness, if any.
         """
 
     def materialized(self) -> IdentifierStream:
@@ -77,8 +74,8 @@ class MaterializedStreamSource(StreamSource):
     Chunk boundaries are exactly those of
     :func:`repro.engine.batch.iter_batches` for ``chunk_size``, so driving a
     target through this source is bit-identical to driving it over the
-    stream directly with ``batch_size=chunk_size`` (regression-tested in
-    ``tests/test_adaptive_adversary.py``).
+    stream directly with ``batch_size=chunk_size`` (regression-tested by
+    ``TestMaterializedStreamSource``).
     """
 
     def __init__(self, stream: Union[IdentifierStream, np.ndarray], *,
@@ -98,7 +95,7 @@ class MaterializedStreamSource(StreamSource):
         """The fixed chunk length (the last chunk may be shorter)."""
         return self._chunk_size
 
-    def next_chunk(self, rng=None) -> Optional[np.ndarray]:
+    def next_chunk(self) -> Optional[np.ndarray]:
         """Return the next ``chunk_size`` slice, or ``None`` past the end."""
         if self._cursor >= self._identifiers.size:
             return None

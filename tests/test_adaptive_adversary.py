@@ -19,7 +19,6 @@ from repro.core.knowledge_free import KnowledgeFreeStrategy
 from repro.engine.backends import shm
 from repro.engine.batch import run_stream
 from repro.scenarios import (
-    AdaptiveAdversarySpec,
     ScenarioError,
     ScenarioRunner,
     ScenarioSpec,
@@ -49,16 +48,14 @@ def adaptive_spec_data(**engine_overrides):
              "params": {"memory_size": 10, "sketch_width": 20,
                         "sketch_depth": 5}},
         ],
-        "adaptive_adversary": {
-            "attacks": [
-                {"kind": "memory_flood",
-                 "params": {"insertion_budget": 800,
-                            "repetitions_per_target": 4}},
-                {"kind": "burst_sybil",
-                 "params": {"distinct_identifiers": 16, "repetitions": 2,
-                            "burst_threshold": 0.05}},
-            ],
-        },
+        "adversary": [
+            {"kind": "memory_flood",
+             "params": {"insertion_budget": 800,
+                        "repetitions_per_target": 4}},
+            {"kind": "burst_sybil",
+             "params": {"distinct_identifiers": 16, "repetitions": 2,
+                        "burst_threshold": 0.05}},
+        ],
         "engine": engine,
     }
 
@@ -97,16 +94,13 @@ class TestSamplerView:
         run_stream(strategy, stream, batch_size=512)
         view = SamplerView(strategy)
         assert set(view.memory()) == set(strategy.memory)
-        assert view.elements_processed() == stream.size
-        assert sum(view.shard_loads()) == stream.size
 
     def test_counts_feedback_queries(self):
         strategy = make_strategy()
         with telemetry.enabled(telemetry.MetricsRegistry()) as registry:
             view = SamplerView(strategy)
-            view.memory()
-            view.shard_loads()
-            view.elements_processed()
+            for _ in range(3):
+                view.memory()
             snapshot = registry.snapshot()
         assert snapshot["counters"]["adversary.feedback_queries"] == 3
 
@@ -203,42 +197,81 @@ class TestAdaptiveAttacks:
         assert attack.ledger.insertions_spent == 0
         assert attack.malicious_identifiers == []
 
+    def test_attacks_of_one_adversary_mint_disjoint_sybils(self):
+        # the runner builds every attack of a scenario over one shared
+        # Sybil factory; with private factories the burst cohorts and the
+        # eclipse evictors were the same "fresh" identifiers
+        data = adaptive_spec_data()
+        data["adversary"] = [
+            {"kind": "burst_sybil",
+             "params": {"distinct_identifiers": 32, "repetitions": 2,
+                        "burst_threshold": 0.01, "cohort_size": 6}},
+            {"kind": "eclipse",
+             "params": {"target_fraction": 0.1, "insertion_budget": 600}},
+        ]
+        runner = ScenarioRunner(ScenarioSpec.from_dict(data))
+        stream = zipf_stream(4000, 200, alpha=1.3, random_state=11)
+        burst, eclipse = runner.attack_factory()(stream)
+        adversary = AdaptiveAdversary([burst, eclipse], random_state=11)
+        run_stream(make_strategy(), adversary.source(
+            MaterializedStreamSource(stream, chunk_size=512)),
+            batch_size=512)
+        cohorts = set(burst.malicious_identifiers)
+        evictors = set(eclipse.malicious_identifiers)
+        assert cohorts and evictors
+        assert not cohorts & evictors
+        assert not (cohorts | evictors) & set(stream.universe)
+        assert len(adversary.malicious_identifiers) == \
+            len(cohorts) + len(evictors)
+
 
 class TestAdaptiveSpec:
     def test_round_trip(self):
         spec = ScenarioSpec.from_dict(adaptive_spec_data())
         again = ScenarioSpec.from_json(spec.to_json())
         assert again.to_dict() == spec.to_dict()
-        assert isinstance(again.adaptive_adversary, AdaptiveAdversarySpec)
+        assert [attack.kind for attack in again.adversary] == \
+            ["memory_flood", "burst_sybil"]
 
-    def test_conflicts_with_static_adversary(self):
+    def test_composes_with_static_adversary(self):
+        # static insertions are merged once per trial; each strategy then
+        # faces its own adaptive insertions on top (a budget every run
+        # exhausts, so the count is exact)
         data = adaptive_spec_data()
-        data["adversary"] = {"kind": "flooding",
-                             "params": {"distinct_identifiers": 4}}
-        with pytest.raises(ScenarioError, match="adversary"):
-            ScenarioSpec.from_dict(data)
+        data["strategies"].append({"kind": "reservoir",
+                                   "params": {"memory_size": 10}})
+        data["adversary"] = [
+            {"kind": "flooding",
+             "params": {"distinct_identifiers": 4, "repetitions": 5}},
+            {"kind": "memory_flood", "params": {"insertion_budget": 40}},
+        ]
+        result = run_scenario(ScenarioSpec.from_dict(data))
+        assert [row["stream_size"] for row in result.details] == \
+            [4000 + 4 * 5 + 40] * 2
 
     def test_conflicts_with_churn_section(self):
         data = adaptive_spec_data()
         del data["stream"]
-        data["churn"] = {"churn_steps": 50, "stable_steps": 50}
-        with pytest.raises(ScenarioError, match="churn"):
+        data["churn"] = {"churn_steps": 50, "stable_steps": 50,
+                         "initial_population": 100}
+        with pytest.raises(ScenarioError, match="churn and adversary"):
             ScenarioSpec.from_dict(data)
 
     def test_requires_batch_driver(self):
+        spec = ScenarioSpec.from_dict(adaptive_spec_data(driver="scalar",
+                                                         shards=None))
         with pytest.raises(ScenarioError, match="batch"):
-            ScenarioSpec.from_dict(adaptive_spec_data(driver="scalar",
-                                                      shards=None))
+            run_scenario(spec)
 
     def test_empty_attack_list_rejected(self):
         data = adaptive_spec_data()
-        data["adaptive_adversary"]["attacks"] = []
-        with pytest.raises(ScenarioError):
+        data["adversary"] = []
+        with pytest.raises(ScenarioError, match="empty adversary"):
             ScenarioSpec.from_dict(data)
 
     def test_unknown_attack_rejected_at_validation(self):
         data = adaptive_spec_data()
-        data["adaptive_adversary"]["attacks"] = [{"kind": "nonesuch"}]
+        data["adversary"] = [{"kind": "nonesuch"}]
         with pytest.raises(ScenarioError):
             ScenarioRunner(ScenarioSpec.from_dict(data)).validate()
 
@@ -247,7 +280,7 @@ class TestAdaptiveSpec:
         data["strategies"].append({"kind": "omniscient",
                                    "params": {"memory_size": 10}})
         with pytest.raises(ScenarioError, match="up front"):
-            ScenarioRunner(ScenarioSpec.from_dict(data)).validate()
+            run_scenario(ScenarioSpec.from_dict(data))
 
 
 class TestAdaptiveBitIdentity:

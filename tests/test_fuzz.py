@@ -40,8 +40,12 @@ class TestGenerator:
         # over a reasonable sample, every mode the fuzzer claims to cross
         # must actually appear
         specs = generate_specs(40, 3)
-        assert any(spec.adaptive_adversary is not None for spec in specs)
-        assert any(spec.adversary is not None for spec in specs)
+        adaptive = {"memory_flood", "eclipse", "burst_sybil"}
+        kinds = [{attack.kind for attack in spec.adversary or []}
+                 for spec in specs]
+        assert any(found - adaptive for found in kinds)
+        assert any(found & adaptive for found in kinds)
+        assert any(found - adaptive and found & adaptive for found in kinds)
         assert any(spec.churn is not None for spec in specs)
         assert any(spec.engine.autoscale is not None for spec in specs)
         assert {spec.engine.shards for spec in specs} >= {1, 2}

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.adversary import MemoryFloodAttack, SybilIdentifierFactory
+from repro.adversary.attacks import flooding_attack
+from repro.core.baselines import ReservoirSampler
 from repro.experiments.harness import (
     ExperimentHarness,
     ExperimentResult,
@@ -87,6 +90,30 @@ class TestExperimentHarness:
 
         first, second = build(), build()
         assert [t.gain for t in first.trials] == [t.gain for t in second.trials]
+
+    @pytest.mark.parametrize("adaptive, spawned", [(False, [0, 0]),
+                                                   (True, [0, 1])])
+    def test_adversary_generator_spawned_only_for_adaptive_attacks(
+            self, adaptive, spawned):
+        # sharded strategies spawn their shard generators from the trial
+        # generator, so a spawn no adaptive attack needs would shift the
+        # next strategy's shard seeds
+        def attacks(stream):
+            static = flooding_attack(
+                distinct_identifiers=4,
+                sybil_factory=SybilIdentifierFactory(stream.universe))
+            return [static, MemoryFloodAttack()] if adaptive else [static]
+
+        seen = []
+
+        def build(stream, rng):
+            seen.append(rng.bit_generator.seed_seq.n_children_spawned)
+            return ReservoirSampler(4, random_state=0)
+
+        ExperimentHarness(_peak_stream_factory, {"a": build, "b": build},
+                          trials=1, random_state=5, batch_size=512,
+                          attack_factory=attacks).run()
+        assert seen == spawned
 
     def test_validation(self):
         with pytest.raises(ValueError):

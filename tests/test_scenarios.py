@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adversary import make_combined_adversary
 from repro.scenarios import (
     ComponentRegistry,
     ComponentSpec,
@@ -56,7 +57,7 @@ def small_network_spec():
 class TestSpecSerialization:
     def test_dict_round_trip_is_lossless(self):
         spec = small_stream_spec(
-            adversary={"kind": "peak", "params": {"peak_frequency": 500}})
+            adversary=[{"kind": "peak", "params": {"peak_frequency": 500}}])
         rebuilt = ScenarioSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
         assert rebuilt.to_dict() == spec.to_dict()
@@ -147,7 +148,8 @@ class TestRegistry:
         assert "knowledge-free" in components["strategies"]
         assert "zipf" in components["streams"]
         assert "count-min" in components["sketches"]
-        assert "targeted" in components["adversaries"]
+        # one registry holds the static and the adaptive attack kinds
+        assert {"targeted", "eclipse"} <= set(components["adversaries"])
 
     def test_unknown_key_lists_available(self):
         registry = ComponentRegistry("widget")
@@ -252,10 +254,10 @@ class TestRunnerValidation:
 class TestRunnerExecution:
     def test_round_tripped_spec_reproduces_identical_results(self):
         spec = small_stream_spec(
-            adversary={"kind": "targeted",
-                       "params": {"target_identifier": 0,
-                                  "distinct_identifiers": 20,
-                                  "repetitions": 3}})
+            adversary=[{"kind": "targeted",
+                        "params": {"target_identifier": 0,
+                                   "distinct_identifiers": 20,
+                                   "repetitions": 3}}])
         first = run_scenario(spec)
         rebuilt = ScenarioSpec.from_json(spec.to_json())
         second = run_scenario(rebuilt)
@@ -363,13 +365,36 @@ class TestRunnerExecution:
 class TestStreamFactoryComposition:
     def test_adversary_extends_universe_and_marks_malicious(self):
         spec = small_stream_spec(
-            adversary={"kind": "flooding",
-                       "params": {"distinct_identifiers": 30}})
-        stream = ScenarioRunner(spec).stream_factory()(
+            adversary=[{"kind": "flooding",
+                        "params": {"distinct_identifiers": 30}}])
+        stream, adaptive = ScenarioRunner(spec).compile().trial_input(
             np.random.default_rng(3))
+        assert adaptive == []
         assert len(stream.malicious) == 30
         assert set(stream.malicious) <= set(stream.universe)
         assert stream.population_size == 230
+
+    def test_attack_list_matches_combined_adversary(self):
+        # Figure 7(b)'s combined attack is the list [targeted, flooding]:
+        # one shared Sybil factory, attacks merged in list order
+        spec = small_stream_spec(adversary=[
+            {"kind": "targeted",
+             "params": {"target_identifier": 0, "distinct_identifiers": 12,
+                        "repetitions": 3}},
+            {"kind": "flooding",
+             "params": {"distinct_identifiers": 20, "repetitions": 3}},
+        ])
+        runner = ScenarioRunner(spec)
+        biased, _ = runner.compile().trial_input(np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        legitimate = runner.stream_factory()(rng)
+        expected = make_combined_adversary(
+            legitimate.universe, 0, targeted_identifiers=12,
+            flooding_identifiers=20, repetitions=3,
+            random_state=rng).bias(legitimate)
+        assert biased.identifiers == expected.identifiers
+        assert biased.universe == expected.universe
+        assert biased.malicious == expected.malicious
 
     def test_stream_factory_is_per_trial_deterministic(self):
         factory = ScenarioRunner(small_stream_spec()).stream_factory()

@@ -272,8 +272,8 @@ class TestChurnSpec:
 
     def test_adversary_and_churn_sections_conflict(self):
         with pytest.raises(ScenarioError, match="churn and adversary"):
-            churn_spec(adversary={"kind": "flooding",
-                                  "params": {"distinct_identifiers": 5}})
+            churn_spec(adversary=[{"kind": "flooding",
+                                   "params": {"distinct_identifiers": 5}}])
 
     def test_network_mode_rejects_stream_only_fields(self):
         with pytest.raises(ScenarioError, match="initial_population"):
