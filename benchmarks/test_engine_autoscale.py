@@ -12,8 +12,8 @@ so outputs per seed never move):
   live migrations and worker spawns happen *inside* the timed run.  Outputs
   and merged memory are asserted bit-identical to the serial tier, and the
   recorded extra-info captures the scaling schedule (final worker count,
-  scale-ups, migrations) plus the delta-snapshot byte counters, which must
-  show deltas strictly smaller than the full-pickle alternative.
+  scale-ups, migrations) plus the bytes of shard state the migrations
+  shipped (each moves one shard's own pickle).
 
 The workload scales down through the same environment knobs as the
 throughput tier (``ENGINE_BENCH_STREAM_SIZE``); the autoscale policy's
@@ -147,10 +147,6 @@ def test_autoscaled_backend_throughput(benchmark, print_result, identifiers,
         finally:
             service.close()
     snapshot = TELEMETRY_REGISTRY.snapshot()["counters"]
-    scaling["delta_snapshot_bytes"] = int(
-        snapshot.get(f"backend.{backend}.delta_snapshot_bytes", 0))
-    scaling["full_snapshot_bytes"] = int(
-        snapshot.get(f"backend.{backend}.full_snapshot_bytes", 0))
     scaling["migration_bytes"] = int(
         snapshot.get(f"backend.{backend}.migration_bytes", 0))
     SCALING[backend] = scaling
@@ -160,8 +156,7 @@ def test_autoscaled_backend_throughput(benchmark, print_result, identifiers,
         f"{scaling['final_workers']} workers after "
         f"{scaling['scale_ups']} scale-ups, "
         f"{scaling['migrations']} migrations "
-        f"({scaling['delta_snapshot_bytes']:,} delta vs "
-        f"{scaling['full_snapshot_bytes']:,} full snapshot bytes)")
+        f"({scaling['migration_bytes']:,} bytes of shard state moved)")
     _record(benchmark, print_result, backend, result)
 
 
@@ -184,29 +179,3 @@ def test_autoscaled_run_bit_identical_to_serial(print_result, backend):
         f"{backend} pool grew 1 -> {scaling['final_workers']} workers "
         f"mid-run and stayed bit-identical to serial over "
         f"{serial_outputs.size:,} outputs")
-
-
-@pytest.mark.figure("autoscale")
-@pytest.mark.parametrize("backend", ["process", "socket"])
-def test_delta_snapshots_smaller_than_full(print_result, backend):
-    """Dirty tracking pays: migrations ship less than full-pool pickles."""
-    if backend not in SCALING:
-        pytest.skip("autoscale benchmarks did not run before this test")
-    scaling = SCALING[backend]
-    if not scaling["migrations"]:
-        pytest.skip("no migration happened at this workload scale")
-    assert scaling["delta_snapshot_bytes"] > 0, scaling
-    if scaling["migrations"] >= 2:
-        # a rebalance moves several shards off one source back to back; only
-        # the first move finds dirty state, so the deltas must undercut the
-        # full per-source pickles strictly
-        assert scaling["delta_snapshot_bytes"] \
-            < scaling["full_snapshot_bytes"], scaling
-    else:
-        assert scaling["delta_snapshot_bytes"] \
-            <= scaling["full_snapshot_bytes"], scaling
-    print_result(
-        "delta snapshots",
-        f"{backend}: shipped {scaling['delta_snapshot_bytes']:,} delta "
-        f"bytes ({scaling['migration_bytes']:,} migrated) vs "
-        f"{scaling['full_snapshot_bytes']:,} full-snapshot bytes")

@@ -38,9 +38,13 @@ profiles rather than only synthetic Zipf bias.
 
 The recorded ``elements_per_second`` extra-info gives the benchmark JSON its
 throughput trajectory, and the final test asserts the engine's headline
-guarantee: the batch driver is at least 5x faster than the scalar path on
+guarantee: the batch driver is at least 10x faster than the scalar path on
 the same workload (it also re-checks that both produce identical outputs, so
-the speed never comes at the cost of the exactness contract).
+the speed never comes at the cost of the exactness contract).  Both drivers
+run in one process, one after the other, so the gate can fail on any core
+count.  On a 2-core host, 17 runs at the CI scale (200k elements) gave
+16.9-25.1x and 5 runs at the default scale 18.1-20.2x, so a kernel that
+turns 2x slower fails it.
 """
 
 import multiprocessing
@@ -337,7 +341,7 @@ def test_trace_replay_throughput(benchmark, print_result, spec):
 
 
 @pytest.mark.figure("throughput")
-def test_batch_driver_at_least_5x_faster_than_scalar(print_result):
+def test_batch_driver_at_least_10x_faster_than_scalar(print_result):
     if "scalar" not in RECORDED or "batch" not in RECORDED:
         pytest.skip("throughput benchmarks did not run before this test")
     scalar_eps, scalar_outputs = RECORDED["scalar"]
@@ -348,7 +352,7 @@ def test_batch_driver_at_least_5x_faster_than_scalar(print_result):
                  f"({batch_eps:,.0f} vs {scalar_eps:,.0f} elem/s)")
     # exactness first: same seed, same outputs, element for element
     assert np.array_equal(scalar_outputs, batch_outputs)
-    assert speedup >= 5.0, (
+    assert speedup >= 10.0, (
         f"batch driver only {speedup:.2f}x the scalar path "
         f"({batch_eps:,.0f} vs {scalar_eps:,.0f} elem/s)"
     )

@@ -22,7 +22,6 @@ from repro.engine.backends.base import (
     BackendError,
     DispatchTicket,
     ExecutionBackend,
-    ShardGroup,
     WorkerCrashError,
     WorkerPoolBackend,
     WorkerTimeoutError,
@@ -44,7 +43,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ShardGroup",
     "ShardPlacement",
     "ShmRing",
     "ShmRingView",

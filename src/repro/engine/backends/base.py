@@ -75,9 +75,7 @@ _RESPAWN_BACKOFF = 0.1
 #: Commands that mutate worker-side shard state and must be journalled for
 #: deterministic replay after a crash.  ``migrate_in``/``migrate_out`` ride
 #: along so a replay reconstructs shard-membership changes exactly (the
-#: shipped state blobs are journalled verbatim); ``snapshot_delta`` is
-#: deliberately absent — it only clears dirty flags, and a rebuilt worker
-#: starts all-dirty, which is the conservative-safe default.
+#: shipped state blob is journalled verbatim).
 _MUTATING_COMMANDS = frozenset({"batch", "sample", "sample_many", "reset",
                                 "migrate_in", "migrate_out"})
 
@@ -98,33 +96,15 @@ class AuthenticationError(BackendError):
     """A socket worker endpoint rejected the shared auth token."""
 
 
-class ShardGroup(dict):
-    """Worker-side ``{shard: service}`` map with per-shard dirty tracking.
-
-    ``dirty`` holds the shards whose state has changed since the parent last
-    captured them with a ``snapshot_delta`` command; a migration then ships
-    only those.  A freshly built group is all-dirty (the parent has captured
-    nothing yet), which is the conservative-safe default: a rebuilt worker
-    after a crash re-ships full state on its next delta.  The set pickles
-    with the group, so a supervision snapshot restored by the pool's
-    recovery path carries the correct dirty bookkeeping through journal
-    replay (replayed mutations re-mark their shards).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.dirty = set(self)
-
-
 def serve_shard_command(services: Dict[int, object], command: str, payload):
     """Execute one worker-protocol command against a shard-service map.
 
     This is the single interpreter of the message-shaped worker protocol
     (``batch`` / ``sample`` / ``sample_many`` / ``loads`` / ``memory_sizes``
-    / ``memory`` / ``reset`` / ``snapshot`` / ``snapshot_delta`` /
-    ``migrate_in`` / ``migrate_out`` / ``telemetry``), run by
-    :func:`serve_session` for process and socket workers alike, so every
-    pool executes exactly the same per-shard operations.
+    / ``memory`` / ``reset`` / ``snapshot`` / ``migrate_in`` /
+    ``migrate_out`` / ``telemetry``), run by :func:`serve_session` for
+    process and socket workers alike, so every pool executes exactly the
+    same per-shard operations.
 
     It runs *inside the worker process*, so it is also where the
     worker-side telemetry accrues: with telemetry enabled, every command is
@@ -134,12 +114,7 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
     reg = telemetry.active()
     if reg is not None:
         reg.counter(f"worker.commands.{command}").inc()
-    # Plain dicts (no dirty tracking) stay valid inputs; delta snapshots
-    # then degrade to full per-shard pickles.
-    dirty = getattr(services, "dirty", None)
     if command == "batch":
-        if dirty is not None:
-            dirty.update(payload)
         if reg is None:
             return {shard: services[shard].on_receive_batch(chunk)
                     for shard, chunk in payload.items()}
@@ -157,41 +132,22 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
         # pickled (not live) services so the reply is a self-contained state
         # blob: the pool supervisor keeps it per worker, and
         # ExecutionBackend.snapshot_shards merges the per-worker blobs into
-        # the public ShardedSamplingService.snapshot() payload.  Dirty flags
-        # are deliberately NOT cleared: this blob feeds supervision and the
-        # public snapshot API, not the parent's per-shard migration cache.
+        # the public ShardedSamplingService.snapshot() payload
         return pickle.dumps(services, protocol=pickle.HIGHEST_PROTOCOL)
-    if command == "snapshot_delta":
-        # per-shard pickles of only the shards mutated since the last delta;
-        # clearing their flags records that the parent's cache is current
-        changed = sorted(dirty) if dirty is not None else sorted(services)
-        blobs = {shard: pickle.dumps(services[shard],
-                                     protocol=pickle.HIGHEST_PROTOCOL)
-                 for shard in changed if shard in services}
-        if dirty is not None:
-            dirty.difference_update(changed)
-        return blobs
-    if command == "migrate_in":
-        # the parent shipped these exact blobs, so its cache already matches:
-        # the incoming shards arrive clean
-        for shard, blob in payload["state_blobs"].items():
-            services[int(shard)] = pickle.loads(blob)
-            if dirty is not None:
-                dirty.discard(int(shard))
-        return None
     if command == "migrate_out":
-        for shard in payload:
-            services.pop(int(shard), None)
-            if dirty is not None:
-                dirty.discard(int(shard))
+        # the departing shard's own pickle; the parent forwards exactly
+        # these bytes to the target's migrate_in
+        blob = pickle.dumps(services[payload],
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        del services[payload]
+        return blob
+    if command == "migrate_in":
+        for shard, blob in payload.items():
+            services[int(shard)] = pickle.loads(blob)
         return None
     if command == "sample":
-        if dirty is not None:
-            dirty.add(payload)
         return services[payload].sample()
     if command == "sample_many":
-        if dirty is not None:
-            dirty.update(payload)
         return {shard: [services[shard].sample() for _ in range(count)]
                 for shard, count in payload.items()}
     if command == "loads":
@@ -204,8 +160,6 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
         return {shard: list(service.strategy.memory_view)
                 for shard, service in services.items()}
     if command == "reset":
-        if dirty is not None:
-            dirty.update(services)
         for service in services.values():
             service.reset()
         return None
@@ -215,15 +169,15 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
 # --------------------------------------------------------------------- #
 # Worker side: one session loop for every pool
 # --------------------------------------------------------------------- #
-def _build_services(payload: Dict[str, Any]) -> ShardGroup:
+def _build_services(payload: Dict[str, Any]) -> Dict[int, object]:
     """Build one worker's shard-service map from a ``start`` payload.
 
     Fresh starts carry the shard factory plus the per-shard generators
     spawned in the parent (the determinism root: each shard keeps drawing
     the coin stream the serial backend would consume).  Re-launches after a
     crash carry the supervision snapshot instead — the worker's pickled
-    :class:`ShardGroup` as of the last snapshot point — so the supervisor
-    replays only the commands issued since.
+    ``{shard: service}`` map as of the last snapshot point — so the
+    supervisor replays only the commands issued since.
     """
     if payload.get("telemetry"):
         # fresh per-session registry: a fork-inherited (or previous
@@ -234,19 +188,18 @@ def _build_services(payload: Dict[str, Any]) -> ShardGroup:
     if blob is not None:
         return pickle.loads(blob)
     factory = payload["factory"]
-    return ShardGroup({shard: factory(shard, rng)
-                       for shard, rng in zip(payload["shard_ids"],
-                                             payload["rngs"])})
+    return {shard: factory(shard, rng)
+            for shard, rng in zip(payload["shard_ids"], payload["rngs"])}
 
 
 def _serve_batch_shm(ring: ShmRingView, services, header):
     """Serve one zero-copy batch: views in, ordinary ingest, views out.
 
-    Delegates the ingestion to the regular ``batch`` interpreter, so dirty
-    tracking and the worker-side batch telemetry behave identically on both
-    data paths.  The reply echoes the slot and sequence number (the parent
-    verifies them against its ticket) and carries either out-region entries
-    or, when the outputs outgrow the slot, the inlined arrays.
+    Delegates the ingestion to the regular ``batch`` interpreter, so the
+    worker-side batch telemetry behaves identically on both data paths.
+    The reply echoes the slot and sequence number (the parent verifies them
+    against its ticket) and carries either out-region entries or, when the
+    outputs outgrow the slot, the inlined arrays.
     """
     views = ring.read_in(header["slot"], header["entries"], header["dtype"])
     outputs = serve_shard_command(services, "batch", views)
@@ -378,22 +331,14 @@ class ExecutionBackend(abc.ABC):
     pipeline_depth = 1
 
     def __init__(self, shards: int, shard_factory: ShardFactory,
-                 shard_rngs: Sequence[np.random.Generator], *,
-                 placement: Optional[ShardPlacement] = None) -> None:
+                 shard_rngs: Sequence[np.random.Generator]) -> None:
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
         if len(shard_rngs) != shards:
             raise ValueError(
                 f"expected {shards} shard generators, got {len(shard_rngs)}")
         self.shards = int(shards)
-        if placement is None:
-            placement = ShardPlacement(self.shards)
-        elif placement.shards != self.shards:
-            raise ValueError(
-                f"placement is sized for {placement.shards} shards, "
-                f"backend has {self.shards}")
-        placement.reset()
-        self._placement = placement
+        self._placement = ShardPlacement(self.shards)
 
     @property
     def placement(self) -> ShardPlacement:
@@ -577,10 +522,8 @@ class WorkerPoolBackend(ExecutionBackend):
     def __init__(self, shards: int, shard_factory: ShardFactory,
                  shard_rngs: Sequence[np.random.Generator], *,
                  workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None,
-                 placement: Optional[ShardPlacement] = None) -> None:
-        super().__init__(shards, shard_factory, shard_rngs,
-                         placement=placement)
+                 worker_timeout: Optional[float] = None) -> None:
+        super().__init__(shards, shard_factory, shard_rngs)
         if workers is None:
             workers = min(self.shards, multiprocessing.cpu_count() or 1)
         if workers <= 0:
@@ -601,10 +544,6 @@ class WorkerPoolBackend(ExecutionBackend):
         #: execution exactly (the bit-identity invariant).
         self._pipeline: Deque[DispatchTicket] = deque()
         self._next_seq = 0
-        #: Parent-side migration cache: last captured pickle of each shard's
-        #: service.  A shard that is *clean* on its worker is guaranteed
-        #: byte-equal to this cache, so a migration only ships deltas.
-        self._shard_states: Dict[int, bytes] = {}
         #: Telemetry snapshots harvested from workers drained at runtime,
         #: handed out (and cleared) by :meth:`telemetry_snapshots` so a
         #: retired worker's registry is merged exactly once.
@@ -1175,13 +1114,14 @@ class WorkerPoolBackend(ExecutionBackend):
     def migrate_shard(self, shard: int, target: int) -> None:
         """Move one shard's service to ``target`` live.
 
-        Sequence: capture a delta snapshot from the source (refreshing the
-        parent's per-shard cache), cut the placement table over, install the
-        state on the target, then drop it from the source.  The cutover
-        happens *before* the worker-side moves so a crash mid-transfer is
-        recoverable: the supervisor's journal replay re-issues
-        ``migrate_in``/``migrate_out`` and converges on the routed owner.
-        No step touches a random draw, so outputs per seed are unchanged.
+        Sequence: ``migrate_out`` pickles the shard on the source, drops it
+        and returns the bytes; the placement table cuts over; ``migrate_in``
+        installs the same bytes on the target.  Both commands are
+        journalled, so a crash on either side is recoverable: the
+        supervisor's replay re-issues them and converges on the routed
+        owner.  Until the target has applied it, the moved shard lives in
+        the in-flight ``migrate_in`` request, which a recovery re-sends.  No
+        step touches a random draw, so outputs per seed are unchanged.
         """
         if target not in self._placement.worker_ids:
             raise ValueError(f"target worker {target} is not in the pool")
@@ -1189,37 +1129,16 @@ class WorkerPoolBackend(ExecutionBackend):
         if target == source:
             return
         started = time.perf_counter()
-        delta = self._request(source, "snapshot_delta", None)
-        delta_bytes = sum(len(blob) for blob in delta.values())
-        self._shard_states.update(delta)
-        blob = self._shard_states[shard]
-        full_bytes = sum(len(self._shard_states[s])
-                         for s in self._placement.shards_of(source)
-                         if s in self._shard_states)
+        blob = self._request(source, "migrate_out", shard)
         self._placement.assign(shard, target)
-        self._request(target, "migrate_in", {"state_blobs": {shard: blob}})
-        self._request(source, "migrate_out", [shard])
+        self._request(target, "migrate_in", {shard: blob})
         reg = telemetry.active()
         if reg is not None:
             reg.counter(f"backend.{self.name}.migrations").inc()
             reg.counter(f"backend.{self.name}.migration_bytes").inc(len(blob))
-            reg.counter(f"backend.{self.name}.delta_snapshot_bytes").inc(
-                delta_bytes)
-            reg.counter(f"backend.{self.name}.full_snapshot_bytes").inc(
-                full_bytes)
             reg.histogram(f"backend.{self.name}.migration_seconds",
                           TIME_EDGES).observe(time.perf_counter() - started)
             reg.gauge(f"backend.{self.name}.shard_worker.{shard}").set(target)
-
-    def refresh_shard_states(self) -> None:
-        """Capture a delta snapshot from every worker (warms the cache).
-
-        After this, every shard is clean and the parent's migration cache
-        holds its current state, so the next migration ships only what
-        changes from here on.
-        """
-        for delta in self._gather("snapshot_delta"):
-            self._shard_states.update(delta)
 
     # ------------------------------------------------------------------ #
     # Inspection and lifecycle
@@ -1309,8 +1228,7 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
                  worker_timeout: Optional[float] = None,
                  endpoints: Optional[Sequence[str]] = None,
                  auth_token: Optional[object] = None,
-                 auth_token_file: Optional[str] = None,
-                 placement: Optional[ShardPlacement] = None
+                 auth_token_file: Optional[str] = None
                  ) -> ExecutionBackend:
     """Build the execution backend registered under ``name``.
 
@@ -1338,16 +1256,15 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
             "endpoints/auth token; choose backend='socket' for "
             "network-transparent workers")
     if name == "serial":
-        if workers is not None:
+        if workers is not None or worker_timeout is not None:
             raise ValueError(
-                "the serial backend runs in-process and takes no 'workers'; "
-                "choose backend='process' to parallelise")
-        return SerialBackend(shards, shard_factory, shard_rngs,
-                             placement=placement)
+                "the serial backend runs in-process and takes no 'workers' "
+                "or 'worker_timeout'; choose backend='process' to "
+                "parallelise")
+        return SerialBackend(shards, shard_factory, shard_rngs)
     if name == "process":
         return ProcessBackend(shards, shard_factory, shard_rngs,
-                              workers=workers, worker_timeout=worker_timeout,
-                              placement=placement)
+                              workers=workers, worker_timeout=worker_timeout)
     if name == "socket":
         from repro.engine.backends.socket import SocketBackend
 
@@ -1355,8 +1272,7 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
             auth_token = wire.load_auth_token(auth_token_file)
         return SocketBackend(shards, shard_factory, shard_rngs,
                              workers=workers, worker_timeout=worker_timeout,
-                             endpoints=endpoints, auth_token=auth_token,
-                             placement=placement)
+                             endpoints=endpoints, auth_token=auth_token)
     raise ValueError(
         f"unknown execution backend {name!r}; available: "
         f"{', '.join(BACKENDS)}")

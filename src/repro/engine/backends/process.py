@@ -56,7 +56,6 @@ from repro.engine.backends.base import (
     serve_session,
 )
 from repro.engine.backends.shm import ShmRing
-from repro.engine.placement import ShardPlacement
 from repro.telemetry import runtime as telemetry
 
 #: Prefix of the backend's shared-memory ring segments.  Unlink tests (and
@@ -97,10 +96,9 @@ class ProcessBackend(WorkerPoolBackend):
     def __init__(self, shards: int, shard_factory: ShardFactory,
                  shard_rngs: Sequence[np.random.Generator], *,
                  workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None,
-                 placement: Optional[ShardPlacement] = None) -> None:
+                 worker_timeout: Optional[float] = None) -> None:
         super().__init__(shards, shard_factory, shard_rngs, workers=workers,
-                         worker_timeout=worker_timeout, placement=placement)
+                         worker_timeout=worker_timeout)
         # hosts without POSIX shared memory run the pickled-frame path
         self._use_shm = _shm.shared_memory_available()
         #: Per-worker ring, kept across re-launches: a re-forked worker

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.backends.base import ExecutionBackend, ShardFactory
-from repro.engine.placement import ShardPlacement
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.registry import DEPTH_EDGES, TIME_EDGES
 
@@ -26,10 +25,8 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def __init__(self, shards: int, shard_factory: ShardFactory,
-                 shard_rngs: Sequence[np.random.Generator], *,
-                 placement: Optional[ShardPlacement] = None) -> None:
-        super().__init__(shards, shard_factory, shard_rngs,
-                         placement=placement)
+                 shard_rngs: Sequence[np.random.Generator]) -> None:
+        super().__init__(shards, shard_factory, shard_rngs)
         # the whole ensemble is one "worker": the calling process
         self._placement.add_worker()
         self._placement.assign_round_robin()

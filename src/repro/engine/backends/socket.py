@@ -52,7 +52,6 @@ from repro.engine.backends.base import (
     reset_signal_handlers,
     serve_session,
 )
-from repro.engine.placement import ShardPlacement
 
 __all__ = ["SocketBackend", "WorkerServer", "serve_worker_connection"]
 
@@ -301,10 +300,9 @@ class SocketBackend(WorkerPoolBackend):
                  worker_timeout: Optional[float] = None,
                  endpoints: Optional[Sequence] = None,
                  auth_token: Optional[Union[str, bytes]] = None,
-                 host: str = "127.0.0.1",
-                 placement: Optional[ShardPlacement] = None) -> None:
+                 host: str = "127.0.0.1") -> None:
         super().__init__(shards, shard_factory, shard_rngs, workers=workers,
-                         worker_timeout=worker_timeout, placement=placement)
+                         worker_timeout=worker_timeout)
         self._host = host
         self._local = endpoints is None
         if self._local:

@@ -3,13 +3,14 @@
 Before this module, shard ownership was a fixed pinning rule
 (``worker = shard % workers``) duplicated across the execution backends and
 frozen at construction.  :class:`ShardPlacement` extracts that decision into
-an explicit routing table owned by the
-:class:`~repro.engine.sharded.ShardedSamplingService` and consulted by the
-backend on every dispatch, which is what makes live shard migration and
-runtime worker scale-up/down possible: moving a shard is an atomic
-reassignment in this table (plus a state transfer on the worker side), and
-adding or removing a worker is a registration change — neither touches any
-random draw, so the cross-backend bit-identity guarantee is untouched.
+an explicit routing table, owned by the execution backend and consulted on
+every dispatch (the :class:`~repro.engine.sharded.ShardedSamplingService`
+reads it through its ``placement`` property).  That is what makes live
+shard migration and runtime worker scale-up/down possible: moving a shard is
+an atomic reassignment in this table (plus a state transfer on the worker
+side), and adding or removing a worker is a registration change — neither
+touches any random draw, so the cross-backend bit-identity guarantee is
+untouched.
 
 The table is deliberately dumb: it validates invariants (every shard is
 owned by a registered worker; a worker is only removed once it owns
@@ -74,12 +75,6 @@ class ShardPlacement:
                 f"worker {worker} still owns shards {owned}; migrate them "
                 "away before removing it")
         self._workers.remove(worker)
-
-    def reset(self) -> None:
-        """Forget every worker and assignment (backend re-initialisation)."""
-        self._table = [None] * self.shards
-        self._workers = []
-        self._next_worker_id = 0
 
     # ------------------------------------------------------------------ #
     # Assignment

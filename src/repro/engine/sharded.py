@@ -171,12 +171,11 @@ class ShardedSamplingService:
         self._partition_hash = family.draw()
         child_rngs = spawn_children(rng, self.shards + 1)
         self._shard_coins = BufferedUniforms(child_rngs[-1])
-        self._placement = ShardPlacement(self.shards)
         self._backend = make_backend(
             backend, self.shards, shard_factory, child_rngs[:self.shards],
             workers=workers, worker_timeout=worker_timeout,
             endpoints=endpoints, auth_token=auth_token,
-            auth_token_file=auth_token_file, placement=self._placement)
+            auth_token_file=auth_token_file)
         self._init_autoscale(autoscale)
 
     # ------------------------------------------------------------------ #
@@ -274,13 +273,12 @@ class ShardedSamplingService:
         # The routing table is deliberately not part of the blob: the target
         # pool (any backend, any worker count) re-maps the shard groups
         # round-robin over its own workers at construction.
-        service._placement = ShardPlacement(service.shards)
         service._backend = make_backend(
             backend, service.shards,
             RestoredShardFactory(state["services_blob"]),
             placeholder_rngs, workers=workers, worker_timeout=worker_timeout,
             endpoints=endpoints, auth_token=auth_token,
-            auth_token_file=auth_token_file, placement=service._placement)
+            auth_token_file=auth_token_file)
         service._backend.seed_loads(state["loads"])
         service._init_autoscale(autoscale)
         return service
@@ -345,7 +343,7 @@ class ShardedSamplingService:
 
     def placement_info(self) -> Dict[str, object]:
         """JSON-friendly view of the routing table and scaling state."""
-        info = self._backend.placement.to_dict()
+        info = self.placement.to_dict()
         info["backend"] = self._backend.name
         info["supports_scaling"] = self._backend.supports_scaling
         info["migrations_in_flight"] = self._migrating
@@ -590,11 +588,10 @@ class ShardedSamplingService:
         try:
             reg.gauge("sharded.shards").set(self.shards)
             reg.gauge("sharded.backend").set(self._backend.name)
-            reg.gauge("sharded.workers").set(
-                self._backend.placement.workers)
+            reg.gauge("sharded.workers").set(self.placement.workers)
             for shard, load in enumerate(self._backend.cached_loads()):
                 reg.gauge(f"sharded.shard_load.{shard}").set(int(load))
-            for shard, worker in enumerate(self._backend.placement.table):
+            for shard, worker in enumerate(self.placement.table):
                 if worker is not None:
                     reg.gauge(f"sharded.shard_worker.{shard}").set(worker)
             for snapshot in self._backend.telemetry_snapshots():

@@ -13,7 +13,6 @@ simulates that substrate end to end:
 * :mod:`repro.network.simulator` — the end-to-end :class:`SystemSimulation`.
 """
 
-from repro.network.brahms import BrahmsConfig, BrahmsNode, BrahmsSimulation
 from repro.network.gossip import GossipConfig, GossipSimulation
 from repro.network.node import CorrectNode, MaliciousNode, Node, NodeConfig
 from repro.network.overlay import (
@@ -42,9 +41,6 @@ __all__ = [
     "random_regular",
     "GossipConfig",
     "GossipSimulation",
-    "BrahmsConfig",
-    "BrahmsNode",
-    "BrahmsSimulation",
     "RandomWalkConfig",
     "RandomWalkSimulation",
     "SystemConfig",

@@ -6,12 +6,10 @@ is built on:
 * :mod:`repro.sketches.hashing` — 2-universal hash families (Section III-D);
 * :mod:`repro.sketches.count_min` — Count-Min sketch (Algorithm 2) plus an
   exact frequency oracle used by the omniscient strategy and the tests;
-* :mod:`repro.sketches.count_sketch`, :mod:`repro.sketches.misra_gries` —
-  alternative frequency estimators used for ablations;
-* :mod:`repro.sketches.flajolet_martin`, :mod:`repro.sketches.hyperloglog` —
-  distinct-count estimators (online population-size estimation);
-* :mod:`repro.sketches.entropy` — streaming entropy accumulators backing the
-  KL-divergence-based evaluation.
+* :mod:`repro.sketches.count_sketch`, :mod:`repro.sketches.misra_gries`
+  (Space-Saving) — alternative frequency estimators used for ablations;
+* :mod:`repro.sketches.hyperloglog` — distinct-count estimator (online
+  population-size estimation, used by the adaptive strategy).
 """
 
 from repro.sketches.count_min import (
@@ -20,12 +18,6 @@ from repro.sketches.count_min import (
     dimensions_from_error,
 )
 from repro.sketches.count_sketch import CountSketch
-from repro.sketches.entropy import (
-    SampledEntropyEstimator,
-    StreamingEntropy,
-    shannon_entropy,
-)
-from repro.sketches.flajolet_martin import FlajoletMartinSketch
 from repro.sketches.hashing import (
     MERSENNE_PRIME_61,
     UniversalHashFamily,
@@ -33,20 +25,15 @@ from repro.sketches.hashing import (
     pairwise_collision_rate,
 )
 from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.misra_gries import MisraGriesSummary, SpaceSavingSummary
+from repro.sketches.misra_gries import SpaceSavingSummary
 
 __all__ = [
     "CountMinSketch",
     "ExactFrequencyCounter",
     "dimensions_from_error",
     "CountSketch",
-    "MisraGriesSummary",
     "SpaceSavingSummary",
-    "FlajoletMartinSketch",
     "HyperLogLog",
-    "StreamingEntropy",
-    "SampledEntropyEstimator",
-    "shannon_entropy",
     "UniversalHashFamily",
     "UniversalHashFunction",
     "pairwise_collision_rate",

@@ -1,9 +1,10 @@
-"""Deterministic heavy-hitter summaries: Misra–Gries and Space-Saving.
+"""Deterministic heavy-hitter summary: Space-Saving.
 
-Both algorithms keep at most ``capacity`` (identifier, counter) pairs and
-answer frequency point queries with bounded error ``m / capacity``.  They are
-cited in the paper's related work on frequent-item estimation and serve as
-alternative frequency oracles in the sketch-choice ablation.
+Space-Saving (Metwally et al.), a counter-based summary of the Misra–Gries
+family, keeps at most ``capacity`` (identifier, counter) pairs and answers
+frequency point queries with bounded error ``m / capacity``.  It is cited in
+the paper's related work on frequent-item estimation and is the registered
+``space-saving`` frequency oracle of the sketch-choice ablation.
 """
 
 from __future__ import annotations
@@ -15,83 +16,8 @@ import numpy as np
 from repro.utils.validation import check_batch, check_positive
 
 
-class MisraGriesSummary:
-    """Misra–Gries frequent-items summary.
-
-    Guarantees ``f_j - m / (capacity + 1) <= estimate(j) <= f_j`` where ``m``
-    is the stream length: estimates *underestimate*, the mirror image of
-    Count-Min.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum number of counters kept.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        check_positive("capacity", capacity)
-        self.capacity = int(capacity)
-        self._counters: Dict[int, int] = {}
-        self._total = 0
-
-    def update(self, item: int, count: int = 1) -> None:
-        """Record ``count`` occurrences of ``item``."""
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        self._total += count
-        if item in self._counters:
-            self._counters[item] += count
-            return
-        if len(self._counters) < self.capacity:
-            self._counters[item] = count
-            return
-        # Decrement phase: reduce every counter, dropping the ones reaching 0.
-        decrement = count
-        while decrement > 0 and len(self._counters) >= self.capacity:
-            smallest = min(self._counters.values())
-            step = min(decrement, smallest)
-            for key in list(self._counters):
-                self._counters[key] -= step
-                if self._counters[key] <= 0:
-                    del self._counters[key]
-            decrement -= step
-        if decrement > 0:
-            self._counters[item] = decrement
-
-    def update_many(self, items: Iterable[int]) -> None:
-        """Record a batch of single occurrences."""
-        for item in items:
-            self.update(item)
-
-    def estimate(self, item: int) -> int:
-        """Return the (under-)estimate of the item's frequency."""
-        return self._counters.get(item, 0)
-
-    def min_cell(self) -> int:
-        """Return the smallest tracked counter (0 when the summary is empty)."""
-        if not self._counters:
-            return 0
-        return min(self._counters.values())
-
-    @property
-    def total(self) -> int:
-        """Total number of updates seen."""
-        return self._total
-
-    def heavy_hitters(self, threshold_fraction: float) -> Dict[int, int]:
-        """Return tracked items whose estimate exceeds ``threshold_fraction * m``."""
-        if not 0 < threshold_fraction <= 1:
-            raise ValueError("threshold_fraction must be in (0, 1]")
-        threshold = threshold_fraction * self._total
-        return {item: count for item, count in self._counters.items()
-                if count > threshold}
-
-    def __len__(self) -> int:
-        return self._total
-
-
 class SpaceSavingSummary:
-    """Space-Saving summary (Metwally et al.), an overestimating counterpart.
+    """Space-Saving summary (Metwally et al.): frequencies overestimated.
 
     When a new item arrives and the summary is full, the item replaces the
     entry with the smallest counter and inherits that counter plus one, so

@@ -747,13 +747,25 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown execution backend"):
             _service("quantum")
 
-    def test_serial_backend_rejects_workers(self):
+    @pytest.mark.parametrize("knob", [{"workers": 2},
+                                      {"worker_timeout": 5.0}],
+                             ids=["workers", "worker_timeout"])
+    def test_serial_backend_rejects_workers(self, knob):
         with pytest.raises(ValueError, match="serial"):
-            _service("serial", workers=2)
+            _service("serial", **knob)
 
     def test_non_socket_backends_reject_endpoints(self):
         with pytest.raises(ValueError, match="endpoints"):
             _service("process", shards=2, endpoints=["127.0.0.1:7333"])
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("knob", [{"auth_token": "secret"},
+                                      {"auth_token_file": "token.txt"}],
+                             ids=["auth_token", "auth_token_file"])
+    def test_non_socket_backends_reject_auth_tokens(self, backend, knob):
+        with pytest.raises(ValueError, match="auth token"):
+            make_backend(backend, 2, _mute_factory, spawn_children(1, 2),
+                         **knob)
 
     def test_services_property_requires_serial(self):
         assert len(_service("serial").services) == 4

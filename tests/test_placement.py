@@ -6,11 +6,11 @@ per master seed, outputs, merged memory, shard loads and samples stay
 bit-identical to the serial backend with any schedule of placement
 actions applied mid-run, including a worker killed -9 in the middle of a
 migration (the pool supervisor re-spawns and journal-replays it, on both
-worker pools).
-Delta snapshots make migrations ship only state that changed since the
-parent's cache was last refreshed, which the telemetry byte counters
-make observable.
+worker pools).  A migration ships the moved shard's own pickle, which the
+telemetry byte counter makes observable.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -20,10 +20,13 @@ from repro.engine import (
     AutoscalePolicy,
     Autoscaler,
     BackendError,
+    KnowledgeFreeShardFactory,
     ShardedSamplingService,
     ShardPlacement,
 )
+from repro.engine.backends.base import serve_shard_command
 from repro.streams import zipf_stream
+from repro.utils.rng import spawn_children
 
 STREAM = zipf_stream(8_000, 1_000, alpha=1.3, random_state=17)
 IDS = np.asarray(STREAM.identifiers, dtype=np.int64)
@@ -119,6 +122,65 @@ class TestShardPlacement:
             "shards_by_worker": {0: [0], 1: [1, 2]},
             "migrations": 1,
         }
+
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_shard_count_must_be_positive(self, shards):
+        with pytest.raises(ValueError, match="shards must be positive"):
+            ShardPlacement(shards)
+
+    @pytest.mark.parametrize("shard", [-1, 2])
+    def test_assign_validates_the_shard_index(self, shard):
+        placement = ShardPlacement(2)
+        worker = placement.add_worker()
+        with pytest.raises(ValueError, match="out of range"):
+            placement.assign(shard, worker)
+
+    def test_round_robin_needs_a_worker(self):
+        with pytest.raises(ValueError, match="no workers"):
+            ShardPlacement(3).assign_round_robin()
+
+    def test_remove_unknown_worker_rejected(self):
+        placement = ShardPlacement(2)
+        placement.add_worker()
+        with pytest.raises(ValueError, match="not registered"):
+            placement.remove_worker(5)
+
+    def test_round_robin_skips_removed_worker_ids(self):
+        placement = ShardPlacement(4)
+        for _ in range(3):
+            placement.add_worker()
+        placement.remove_worker(1)
+        placement.assign_round_robin()
+        assert placement.worker_ids == [0, 2]
+        assert placement.table == [0, 2, 0, 2]
+        assert placement.shards_of(1) == []
+
+    def test_every_cutover_counts_as_a_migration(self):
+        placement = ShardPlacement(2)
+        placement.add_worker()
+        placement.add_worker()
+        placement.assign_round_robin()
+        placement.assign(0, 1)
+        placement.assign(0, 0)
+        placement.assign(1, 0)
+        assert placement.migrations == 3
+        assert placement.table == [0, 0]
+
+    def test_table_is_a_copy(self):
+        placement = ShardPlacement(2)
+        placement.add_worker()
+        placement.assign_round_robin()
+        placement.table[0] = 9
+        assert placement.table == [0, 0]
+        assert placement.worker_of(0) == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_service_reads_the_backends_table(self, backend):
+        with _service(backend, shards=3) as service:
+            assert service.placement is service.backend.placement
+            assert service.placement.shards == 3
+            assert service.placement_info()["table"] \
+                == service.backend.placement.table
 
 
 # --------------------------------------------------------------------- #
@@ -238,16 +300,25 @@ class TestLiveMigration:
         service.close()
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_kill_nine_during_migration_recovers_bit_identical(self, backend):
-        """kill -9 on the migration source; supervisor replay converges."""
+    @pytest.mark.parametrize("victim", [0, 1], ids=["source", "target"])
+    def test_kill_nine_during_migration_recovers_bit_identical(self, backend,
+                                                               victim):
+        """kill -9 on either side of a move; supervisor recovery converges.
+
+        The source dies before its migrate_out request.  The target dies
+        before migrate_in, so from migrate_out until the target applies it
+        the shard lives only in that in-flight request, which the recovery
+        re-sends.
+        """
         batches = [IDS[:4000], IDS[4000:]]
         ref_outputs, ref_samples, ref_memory, ref_loads = \
             _serial_reference(batches)
         with _service(backend, workers=2) as service:
             outputs = [service.on_receive_batch(batches[0])]
-            # the source worker dies before the delta snapshot request;
-            # the supervisor re-spawns it mid-migration
-            service.backend._processes[0].kill()
+            process = service.backend._processes[victim]
+            process.kill()
+            process.join(timeout=5.0)
+            assert not process.is_alive()
             service.migrate_shard(0, 1)
             assert service.backend.respawns == 1
             assert service.placement.worker_of(0) == 1
@@ -355,25 +426,22 @@ class TestAutoscaling:
 
 
 # --------------------------------------------------------------------- #
-# Delta snapshots
+# Migration telemetry
 # --------------------------------------------------------------------- #
-class TestDeltaSnapshots:
+class TestMigrationTelemetry:
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_clean_shard_migration_ships_no_delta_bytes(self, backend):
-        batches = [IDS[:4000], IDS[4000:]]
+    def test_migrations_are_counted_and_match_serial(self, backend):
+        batches = [IDS[:4000], IDS[4000:6000], IDS[6000:]]
         ref_outputs, ref_samples, ref_memory, _ = _serial_reference(batches)
         with telemetry.enabled() as registry:
             with _service(backend, workers=2) as service:
                 outputs = [service.on_receive_batch(batches[0])]
-                # first migration: every shard of the source is dirty, so
-                # the delta ships as much as a full snapshot would
                 service.migrate_shard(0, 1)
-                # refresh: the parent caches current state, shards go clean
-                service.backend.refresh_shard_states()
-                # second migration without intervening writes: zero delta
-                # bytes, the cached blob is shipped verbatim
-                service.migrate_shard(2, 1)
+                # the second move must ship shard 2's state as of now, not
+                # as of the first move
                 outputs.append(service.on_receive_batch(batches[1]))
+                service.migrate_shard(2, 1)
+                outputs.append(service.on_receive_batch(batches[2]))
                 for ours, expected in zip(outputs, ref_outputs):
                     assert np.array_equal(ours, expected)
                 assert service.sample_many(40, strict=False) == ref_samples
@@ -382,28 +450,89 @@ class TestDeltaSnapshots:
         counters = snapshot["counters"]
         assert counters[f"backend.{backend}.migrations"] == 2
         assert counters[f"backend.{backend}.migration_bytes"] > 0
-        # delta < full is the point of dirty tracking: the second (clean)
-        # migration added full-snapshot bytes but zero delta bytes
-        assert 0 < counters[f"backend.{backend}.delta_snapshot_bytes"] \
-            < counters[f"backend.{backend}.full_snapshot_bytes"]
         assert snapshot["histograms"][
             f"backend.{backend}.migration_seconds"]["count"] == 2
         assert snapshot["gauges"][f"backend.{backend}.shard_worker.0"] == 1
         assert snapshot["gauges"][f"backend.{backend}.shard_worker.2"] == 1
 
+
+# --------------------------------------------------------------------- #
+# The worker side of a migration
+# --------------------------------------------------------------------- #
+def _shard_map(shard_ids, seed=31):
+    """A worker's ``{shard: service}`` map, as a fresh start builds it."""
+    factory = KnowledgeFreeShardFactory(10, sketch_width=32, sketch_depth=4)
+    rngs = spawn_children(seed, 4)
+    return {shard: factory(shard, rngs[shard]) for shard in shard_ids}
+
+
+class TestMigrationCommands:
+    def test_migrate_out_ships_and_drops_only_the_moved_shard(self):
+        source = _shard_map([0, 2])
+        twin = _shard_map([0, 2])
+        for services in (source, twin):
+            serve_shard_command(services, "batch",
+                                {0: IDS[:500], 2: IDS[500:1000]})
+        blob = serve_shard_command(source, "migrate_out", 0)
+        assert isinstance(blob, bytes)
+        assert sorted(source) == [2]
+        assert blob == pickle.dumps(twin[0], protocol=pickle.HIGHEST_PROTOCOL)
+
+    def test_migrate_in_installs_the_shipped_state(self):
+        source = _shard_map([0, 2])
+        target = _shard_map([1, 3])
+        twin = _shard_map([0, 1, 2, 3])
+        first = {0: IDS[:400], 1: IDS[400:800], 2: IDS[800:1200]}
+        serve_shard_command(source, "batch",
+                            {0: first[0], 2: first[2]})
+        serve_shard_command(target, "batch", {1: first[1]})
+        serve_shard_command(twin, "batch", first)
+        blob = serve_shard_command(source, "migrate_out", 0)
+        assert serve_shard_command(target, "migrate_in", {0: blob}) is None
+        assert sorted(target) == [0, 1, 3]
+        later = {0: IDS[1200:2000], 1: IDS[2000:2400]}
+        moved = serve_shard_command(target, "batch", later)
+        expected = serve_shard_command(twin, "batch", later)
+        for shard in later:
+            assert np.array_equal(moved[shard], expected[shard])
+        assert serve_shard_command(target, "memory", None)[0] \
+            == serve_shard_command(twin, "memory", None)[0]
+        assert serve_shard_command(target, "loads", None)[0] == 1200
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ValueError, match="unknown worker command"):
+            serve_shard_command(_shard_map([0]), "teleport", None)
+
+
+class TestMigrationPayload:
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_dirty_tracking_survives_writes_after_refresh(self, backend):
-        """A post-refresh write re-dirties the shard; the migration must
-        ship the *current* state, not the stale cache."""
-        batches = [IDS[:4000], IDS[4000:6000], IDS[6000:]]
-        ref_outputs, ref_samples, ref_memory, _ = _serial_reference(batches)
-        with _service(backend, workers=2) as service:
-            outputs = [service.on_receive_batch(batches[0])]
-            service.backend.refresh_shard_states()
-            outputs.append(service.on_receive_batch(batches[1]))
+    def test_migration_bytes_are_the_moved_shards_pickles(self, backend):
+        with telemetry.enabled() as registry:
+            with _service(backend, workers=2) as service:
+                service.on_receive_batch(IDS[:4000])
+                states = pickle.loads(service.backend.snapshot_shards())
+                expected = sum(
+                    len(pickle.dumps(states[shard],
+                                     protocol=pickle.HIGHEST_PROTOCOL))
+                    for shard in (0, 2))
+                service.migrate_shard(0, 1)
+                service.migrate_shard(2, 1)
+            counters = registry.snapshot()["counters"]
+        assert counters[f"backend.{backend}.migration_bytes"] == expected
+
+    @pytest.mark.parametrize("target", ["serial", "process", "socket"])
+    def test_snapshot_after_migration_restores_on_every_backend(self,
+                                                                target):
+        batches = [IDS[:4000], IDS[4000:]]
+        _, ref_samples, ref_memory, ref_loads = _serial_reference(batches)
+        with _service("process", workers=2) as service:
+            service.on_receive_batch(batches[0])
             service.migrate_shard(0, 1)
-            outputs.append(service.on_receive_batch(batches[2]))
-            for ours, expected in zip(outputs, ref_outputs):
-                assert np.array_equal(ours, expected)
-            assert service.sample_many(40, strict=False) == ref_samples
-            assert service.merged_memory() == ref_memory
+            blob = service.snapshot()
+        kwargs = {} if target == "serial" else {"workers": 2}
+        with ShardedSamplingService.restore(blob, backend=target,
+                                            **kwargs) as restored:
+            restored.on_receive_batch(batches[1])
+            assert restored.sample_many(40, strict=False) == ref_samples
+            assert restored.merged_memory() == ref_memory
+            assert restored.shard_loads() == ref_loads

@@ -23,6 +23,17 @@ from repro.scenarios import (
 from repro.scenarios.registry import STRATEGIES, STREAMS
 
 
+@pytest.fixture
+def restore_registries(monkeypatch):
+    """Undo a test's registrations on the global registries afterwards.
+
+    Sharded scenario runs pickle the registries into their socket workers,
+    and a test-local builder does not pickle.
+    """
+    for registry in (STRATEGIES, STREAMS):
+        monkeypatch.setattr(registry, "_builders", dict(registry._builders))
+
+
 def small_stream_spec(**overrides):
     """A fast stream-mode scenario used throughout the module."""
     data = {
@@ -181,7 +192,7 @@ class TestRegistry:
                                stream="ignored")
         assert built == (2, 7)
 
-    def test_decorator_registration_and_shadowing(self):
+    def test_decorator_registration_and_shadowing(self, restore_registries):
         key = "unit-test-strategy"
 
         @register_strategy(key)
@@ -331,7 +342,7 @@ class TestRunnerExecution:
         with pytest.raises(ScenarioError, match="unknown trace"):
             run_scenario(spec)
 
-    def test_custom_registered_stream_is_runnable(self):
+    def test_custom_registered_stream_is_runnable(self, restore_registries):
         from repro.streams import IdentifierStream
 
         @register_stream("unit-test-constant")
