@@ -8,8 +8,10 @@ simulates that substrate end to end:
 * :mod:`repro.network.node` — correct nodes (running the sampling service)
   and malicious nodes (advertising adversary-chosen identifiers);
 * :mod:`repro.network.overlay` — overlay graphs and connectivity checks;
-* :mod:`repro.network.gossip` — round-based push gossip dissemination;
-* :mod:`repro.network.random_walk` — random-walk dissemination;
+* :mod:`repro.network.dissemination` — the node population, overlay, round
+  loop and per-node streams both dissemination protocols share;
+* :mod:`repro.network.gossip` — the push-gossip round;
+* :mod:`repro.network.random_walk` — the random-walk round;
 * :mod:`repro.network.simulator` — the end-to-end :class:`SystemSimulation`.
 """
 

@@ -4,9 +4,10 @@ The paper's input streams "may result from the continuous propagation of node
 ids through gossip-based algorithms" (Section IV).  This module implements a
 round-based push gossip protocol over an overlay graph: at every round each
 node advertises an identifier (its own for correct nodes, an adversary-chosen
-identifier for malicious nodes) to ``fanout`` neighbours; every received
-identifier is appended to the receiver's input stream and fed to its local
-node sampling service.
+identifier for malicious nodes) to ``fanout`` neighbours; each receiver
+appends the round's identifiers to its input stream and feeds them to its
+local node sampling service.  The population, overlay and streams are those
+of :class:`~repro.network.dissemination.DisseminationSimulation`.
 
 The simulation thereby produces, at every correct node, exactly the kind of
 adversarially biased identifier stream the sampling strategies are designed
@@ -16,14 +17,12 @@ to unbias.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.network.node import CorrectNode, MaliciousNode, Node, NodeConfig
-from repro.network.overlay import OverlayGraph, ring_with_shortcuts
-from repro.streams.stream import IdentifierStream
-from repro.utils.rng import RandomState, ensure_rng, spawn_children
+from repro.network.dissemination import DisseminationSimulation
+from repro.network.node import NodeConfig
 from repro.utils.validation import check_positive
 
 
@@ -38,117 +37,36 @@ class GossipConfig:
     malicious_fanout: int = 6
     #: Sampling-service configuration of every correct node.
     node_config: NodeConfig = field(default_factory=NodeConfig)
-    #: Deliver each round's traffic per receiving node as one chunk through
-    #: the batch engine (bit-identical to per-element delivery, but large
-    #: overlays run an order of magnitude faster).  Per-element delivery is
-    #: kept for the equivalence regression tests.
-    batch_delivery: bool = True
 
     def __post_init__(self) -> None:
         check_positive("fanout", self.fanout)
         check_positive("malicious_fanout", self.malicious_fanout)
 
 
-class GossipSimulation:
+class GossipSimulation(DisseminationSimulation):
     """Round-based push gossip over an overlay graph.
 
-    Parameters
-    ----------
-    num_correct:
-        Number of correct nodes.
-    num_malicious:
-        Number of malicious (adversary-controlled) nodes.
-    sybil_identifiers_per_malicious:
-        Number of fabricated identifiers each malicious node cycles through
-        when advertising (1 means malicious nodes only advertise themselves).
-    config:
-        Gossip parameters.
-    overlay:
-        Optional pre-built overlay; defaults to a ring with random shortcuts
-        over all the nodes (correct and malicious mixed).
-    random_state:
-        Master seed; every node receives an independent child generator.
+    Takes the parameters of
+    :class:`~repro.network.dissemination.DisseminationSimulation`, with a
+    :class:`GossipConfig` as ``config``.
     """
 
-    def __init__(self, num_correct: int, num_malicious: int = 0, *,
-                 sybil_identifiers_per_malicious: int = 1,
-                 config: Optional[GossipConfig] = None,
-                 overlay: Optional[OverlayGraph] = None,
-                 random_state: RandomState = None) -> None:
-        check_positive("num_correct", num_correct)
-        if num_malicious < 0:
-            raise ValueError("num_malicious must be non-negative")
-        check_positive("sybil_identifiers_per_malicious",
-                       sybil_identifiers_per_malicious)
-        self.config = config or GossipConfig()
-        self._rng = ensure_rng(random_state)
-        total_nodes = num_correct + num_malicious
-        children = spawn_children(self._rng, total_nodes + 1)
-        self._overlay_rng = children[-1]
+    config_class = GossipConfig
+    label_prefix = "gossip"
+    config: GossipConfig
 
-        correct_ids = list(range(num_correct))
-        malicious_ids = list(range(num_correct, total_nodes))
-        next_sybil = total_nodes
-        self.nodes: Dict[int, Node] = {}
-        for index, identifier in enumerate(correct_ids):
-            self.nodes[identifier] = CorrectNode(
-                identifier, config=self.config.node_config,
-                random_state=children[index],
-            )
-        for offset, identifier in enumerate(malicious_ids):
-            controlled = [identifier]
-            for _ in range(sybil_identifiers_per_malicious - 1):
-                controlled.append(next_sybil)
-                next_sybil += 1
-            self.nodes[identifier] = MaliciousNode(
-                identifier, controlled,
-                random_state=children[num_correct + offset],
-            )
-        self.correct_ids = correct_ids
-        self.malicious_ids = malicious_ids
-        self.sybil_identifiers = [
-            identifier
-            for node in self.nodes.values() if node.is_malicious
-            for identifier in node.controlled_identifiers
-        ]
-        if overlay is None:
-            # Shuffle the node order so malicious nodes are scattered around
-            # the ring instead of forming a contiguous (mostly self-connected)
-            # segment.
-            node_order = list(self.nodes)
-            self._overlay_rng.shuffle(node_order)
-            overlay = ring_with_shortcuts(
-                node_order, shortcuts=max(1, total_nodes // 2),
-                random_state=self._overlay_rng,
-            )
-        self.overlay = overlay
-        self.rounds_executed = 0
-        # Bootstrap views with overlay neighbours so gossip can start.
-        for identifier, node in self.nodes.items():
-            node.view = list(self.overlay.neighbors(identifier))
+    def _round_traffic(self):
+        """Every active node pushes advertisements to active neighbours.
 
-    # ------------------------------------------------------------------ #
-    # Simulation
-    # ------------------------------------------------------------------ #
-    def run_round(self) -> None:
-        """Execute one synchronous gossip round.
-
-        Inactive nodes (dynamic membership, see the churn-aware system
-        simulation) neither advertise nor receive; when every node is active
-        the round is identical — draw for draw — to a churn-free one.
+        Deliveries are shuffled after all sends so the round is synchronous,
+        then grouped by receiver with one stable argsort, which keeps each
+        receiver's arrival order.
         """
-        deliveries: List[tuple] = []
-        # Checking membership once keeps the per-edge filter off the hot
-        # path of churn-free rounds (the common case, and the one the
-        # overlay throughput benchmark tracks).
-        all_active = all(node.active for node in self.nodes.values())
+        deliveries: List[Tuple[int, int]] = []
         for identifier, node in self.nodes.items():
             if not node.active:
                 continue
-            neighbors = self.overlay.neighbors(identifier)
-            if not all_active:
-                neighbors = [neighbor for neighbor in neighbors
-                             if self.nodes[neighbor].active]
+            neighbors = self._neighbors(identifier)
             if not neighbors:
                 continue
             if node.is_malicious:
@@ -165,72 +83,16 @@ class GossipSimulation:
             for index in chosen:
                 target = neighbors[int(index)]
                 deliveries.append((target, node.advertisement()))
-        # Deliver after all sends so the round is synchronous.
         self._rng.shuffle(deliveries)
-        if self.config.batch_delivery and deliveries:
-            # Group the round's traffic by receiver with one stable argsort
-            # (stability preserves each receiver's arrival order) and ingest
-            # it as one chunk per node.  Per-node input streams — and
-            # therefore sampler states — are identical to per-element
-            # delivery: the engine's batch path is bit-identical and nodes
-            # do not interact within a round.
-            targets = np.fromiter((target for target, _ in deliveries),
-                                  dtype=np.int64, count=len(deliveries))
-            payloads = np.fromiter((advertised for _, advertised in deliveries),
-                                   dtype=np.int64, count=len(deliveries))
-            order = np.argsort(targets, kind="stable")
-            targets = targets[order]
-            payloads = payloads[order]
-            boundaries = np.flatnonzero(np.diff(targets)) + 1
-            starts = np.concatenate(([0], boundaries))
-            for start, chunk in zip(starts,
-                                    np.split(payloads, boundaries)):
-                self.nodes[int(targets[start])].receive_batch(chunk)
-        elif not self.config.batch_delivery:
-            for target, advertised in deliveries:
-                self.nodes[target].receive(advertised)
-        self.rounds_executed += 1
-
-    def run(self, rounds: int) -> None:
-        """Execute ``rounds`` gossip rounds."""
-        check_positive("rounds", rounds)
-        for _ in range(rounds):
-            self.run_round()
-
-    # ------------------------------------------------------------------ #
-    # Observation
-    # ------------------------------------------------------------------ #
-    def correct_nodes(self) -> List[CorrectNode]:
-        """Return the correct nodes of the simulation."""
-        return [self.nodes[identifier] for identifier in self.correct_ids]
-
-    def input_stream_of(self, identifier: int) -> IdentifierStream:
-        """Return the input stream ``sigma_i`` received so far by a correct node."""
-        node = self.nodes[int(identifier)]
-        if node.is_malicious:
-            raise ValueError("malicious nodes do not run the sampling service")
-        universe = sorted(set(self.correct_ids) | set(self.malicious_ids)
-                          | set(self.sybil_identifiers))
-        return IdentifierStream(
-            identifiers=list(node.received),
-            universe=universe,
-            malicious=sorted(set(self.malicious_ids) | set(self.sybil_identifiers)),
-            label=f"gossip-input(node={identifier})",
-        )
-
-    def output_stream_of(self, identifier: int) -> IdentifierStream:
-        """Return the sampler output stream ``sigma'_i`` of a correct node."""
-        node = self.nodes[int(identifier)]
-        if node.is_malicious:
-            raise ValueError("malicious nodes do not run the sampling service")
-        output = node.sampling_service.output_stream
-        return IdentifierStream(
-            identifiers=output.identifiers,
-            universe=self.input_stream_of(identifier).universe,
-            malicious=sorted(set(self.malicious_ids) | set(self.sybil_identifiers)),
-            label=f"gossip-output(node={identifier})",
-        )
-
-    def correct_overlay_is_connected(self) -> bool:
-        """Check the weak-connectivity assumption over the correct nodes only."""
-        return self.overlay.is_connected(restrict_to=self.correct_ids)
+        if not deliveries:
+            return ()
+        targets = np.fromiter((target for target, _ in deliveries),
+                              dtype=np.int64, count=len(deliveries))
+        payloads = np.fromiter((advertised for _, advertised in deliveries),
+                               dtype=np.int64, count=len(deliveries))
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        boundaries = np.flatnonzero(np.diff(targets)) + 1
+        starts = np.concatenate(([0], boundaries))
+        return zip(targets[starts].tolist(),
+                   np.split(payloads[order], boundaries))

@@ -2,22 +2,22 @@
 
 The system ``N`` is a set of ``n`` nodes, ``l`` of which are malicious and
 collude under the control of the adversary.  Every correct node runs a local
-node sampling service fed by the stream of identifiers it receives (through
-gossip or random walks); malicious nodes ignore the protocol and emit the
-identifiers the adversary tells them to.
+node sampling service fed, one round's chunk at a time, by the stream of
+identifiers it receives (through gossip or random walks); malicious nodes
+ignore the protocol, drop what they receive and emit the identifiers the
+adversary tells them to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import SamplingStrategy
 from repro.core.knowledge_free import KnowledgeFreeStrategy
 from repro.core.service import NodeSamplingService
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive
 
 
@@ -49,8 +49,6 @@ class Node:
 
     def __init__(self, identifier: int) -> None:
         self.identifier = int(identifier)
-        #: Identifiers this node currently knows about (its partial view).
-        self.view: List[int] = []
         #: Whether the node currently participates in the system.  Inactive
         #: nodes neither send nor receive; the churn-aware system simulation
         #: toggles this flag to model joins (a node provisioned up front that
@@ -81,12 +79,11 @@ class CorrectNode(Node):
                  random_state: RandomState = None) -> None:
         super().__init__(identifier)
         self.config = config or NodeConfig()
-        self._rng = ensure_rng(random_state)
-        strategy: SamplingStrategy = KnowledgeFreeStrategy(
+        strategy = KnowledgeFreeStrategy(
             self.config.memory_size,
             sketch_width=self.config.sketch_width,
             sketch_depth=self.config.sketch_depth,
-            random_state=self._rng,
+            random_state=random_state,
         )
         self.sampling_service = NodeSamplingService(
             strategy, record_output=self.config.record_output
@@ -94,61 +91,23 @@ class CorrectNode(Node):
         #: Every identifier received so far, in arrival order (the stream sigma_i).
         self.received: List[int] = []
 
-    def receive(self, identifier: int) -> None:
-        """Receive one identifier from the network and feed the sampler."""
-        identifier = int(identifier)
-        self.received.append(identifier)
-        self.sampling_service.on_receive(identifier)
-        if identifier not in self.view and identifier != self.identifier:
-            self.view.append(identifier)
-
     def receive_batch(self, identifiers: Sequence[int]) -> None:
         """Receive a round's worth of identifiers as one chunk.
 
-        Feeds the sampling service through its vectorised
+        Appends them to the input stream and feeds the sampling service
+        through its vectorised
         :meth:`~repro.core.service.NodeSamplingService.on_receive_batch`
-        path; because the engine's batch processing is bit-identical to
-        per-element processing for the same coins, the node ends in exactly
-        the state ``receive`` called once per identifier would produce.
+        path, which is bit-identical to feeding them one by one.
         """
         chunk = np.asarray(identifiers, dtype=np.int64)
         if chunk.size == 0:
             return
-        id_list = chunk.tolist()
-        self.received.extend(id_list)
+        self.received.extend(chunk.tolist())
         self.sampling_service.on_receive_batch(chunk)
-        view = self.view
-        seen = set(view)
-        for identifier in id_list:
-            if identifier not in seen and identifier != self.identifier:
-                view.append(identifier)
-                seen.add(identifier)
 
     def sample(self) -> Optional[int]:
         """Return a uniformly sampled node identifier (the service primitive)."""
         return self.sampling_service.sample()
-
-    def gossip_targets(self, fanout: int) -> List[int]:
-        """Return up to ``fanout`` identifiers to gossip to, sampled via the service.
-
-        Correct nodes use their own sampling service to pick gossip partners,
-        which is exactly the epidemic use-case motivating the paper.
-        """
-        check_positive("fanout", fanout)
-        targets: List[int] = []
-        attempts = 0
-        while len(targets) < fanout and attempts < fanout * 4:
-            attempts += 1
-            candidate = self.sample()
-            if candidate is None:
-                break
-            if candidate != self.identifier and candidate not in targets:
-                targets.append(candidate)
-        if not targets and self.view:
-            size = min(fanout, len(self.view))
-            chosen = self._rng.choice(len(self.view), size=size, replace=False)
-            targets = [self.view[int(index)] for index in chosen]
-        return targets
 
     def advertisement(self) -> int:
         """Return the identifier this node advertises in gossip: its own."""
@@ -170,35 +129,18 @@ class MaliciousNode(Node):
     is_malicious = True
 
     def __init__(self, identifier: int,
-                 controlled_identifiers: Sequence[int], *,
-                 random_state: RandomState = None) -> None:
+                 controlled_identifiers: Sequence[int]) -> None:
         super().__init__(identifier)
         if not controlled_identifiers:
             raise ValueError("a malicious node needs at least one controlled identifier")
         self.controlled_identifiers = [int(i) for i in controlled_identifiers]
-        self._rng = ensure_rng(random_state)
         self._cursor = 0
 
-    def receive(self, identifier: int) -> None:
-        """Malicious nodes observe the traffic but do not run the protocol."""
-        self.view.append(int(identifier))
-
     def receive_batch(self, identifiers: Sequence[int]) -> None:
-        """Observe a round's worth of identifiers (no sampling service)."""
-        self.view.extend(np.asarray(identifiers, dtype=np.int64).tolist())
+        """Drop a round's worth of identifiers: no protocol runs here."""
 
     def advertisement(self) -> int:
         """Return the next adversary-chosen identifier to advertise."""
         identifier = self.controlled_identifiers[self._cursor]
         self._cursor = (self._cursor + 1) % len(self.controlled_identifiers)
         return identifier
-
-    def gossip_targets(self, fanout: int) -> List[int]:
-        """Malicious nodes gossip to random known nodes to maximise spread."""
-        check_positive("fanout", fanout)
-        if not self.view:
-            return []
-        unique_view = list(dict.fromkeys(self.view))
-        size = min(fanout, len(unique_view))
-        chosen = self._rng.choice(len(unique_view), size=size, replace=False)
-        return [unique_view[int(index)] for index in chosen]

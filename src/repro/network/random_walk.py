@@ -7,7 +7,9 @@ every correct node the token visits appends the carried identifier to its
 input stream.  Malicious nodes initiate extra walks carrying adversary-chosen
 identifiers and may bias the routing of tokens they relay (they forward
 preferentially towards other malicious nodes to slow the spread of correct
-identifiers).
+identifiers).  A round's visits reach each node as one chunk at the end of
+the round; the population, overlay and streams are those of
+:class:`~repro.network.dissemination.DisseminationSimulation`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.network.node import CorrectNode, MaliciousNode, Node, NodeConfig
-from repro.network.overlay import OverlayGraph, ring_with_shortcuts
-from repro.streams.stream import IdentifierStream
-from repro.utils.rng import RandomState, ensure_rng, spawn_children
+from repro.network.dissemination import DisseminationSimulation
+from repro.network.node import NodeConfig
 from repro.utils.validation import check_positive
 
 
@@ -34,12 +34,6 @@ class RandomWalkConfig:
     malicious_walks_per_node: int = 3
     #: Sampling-service configuration of every correct node.
     node_config: NodeConfig = None
-    #: Buffer each round's walk deliveries per visited node and ingest them
-    #: as one chunk at the end of the round through the batch engine.
-    #: Bit-identical to immediate per-hop delivery (walk routing never reads
-    #: the receivers' state); per-hop delivery is kept for the equivalence
-    #: regression tests.
-    batch_delivery: bool = True
 
     def __post_init__(self) -> None:
         check_positive("walk_length", self.walk_length)
@@ -49,79 +43,18 @@ class RandomWalkConfig:
             self.node_config = NodeConfig()
 
 
-class RandomWalkSimulation:
+class RandomWalkSimulation(DisseminationSimulation):
     """Random-walk dissemination of node identifiers over an overlay.
 
-    Parameters
-    ----------
-    num_correct, num_malicious:
-        Population composition.
-    sybil_identifiers_per_malicious:
-        Fabricated identifiers cycled through by each malicious initiator.
-    config:
-        Walk parameters.
-    overlay:
-        Optional pre-built overlay; defaults to a ring with shortcuts.
-    random_state:
-        Master seed; nodes get independent child generators.
+    Takes the parameters of
+    :class:`~repro.network.dissemination.DisseminationSimulation`, with a
+    :class:`RandomWalkConfig` as ``config``.
     """
 
-    def __init__(self, num_correct: int, num_malicious: int = 0, *,
-                 sybil_identifiers_per_malicious: int = 1,
-                 config: Optional[RandomWalkConfig] = None,
-                 overlay: Optional[OverlayGraph] = None,
-                 random_state: RandomState = None) -> None:
-        check_positive("num_correct", num_correct)
-        if num_malicious < 0:
-            raise ValueError("num_malicious must be non-negative")
-        self.config = config or RandomWalkConfig()
-        self._rng = ensure_rng(random_state)
-        total = num_correct + num_malicious
-        children = spawn_children(self._rng, total + 1)
+    config_class = RandomWalkConfig
+    label_prefix = "walk"
+    config: RandomWalkConfig
 
-        self.correct_ids = list(range(num_correct))
-        self.malicious_ids = list(range(num_correct, total))
-        next_sybil = total
-        self.nodes: Dict[int, Node] = {}
-        for index, identifier in enumerate(self.correct_ids):
-            self.nodes[identifier] = CorrectNode(
-                identifier, config=self.config.node_config,
-                random_state=children[index],
-            )
-        for offset, identifier in enumerate(self.malicious_ids):
-            controlled = [identifier]
-            for _ in range(sybil_identifiers_per_malicious - 1):
-                controlled.append(next_sybil)
-                next_sybil += 1
-            self.nodes[identifier] = MaliciousNode(
-                identifier, controlled,
-                random_state=children[num_correct + offset],
-            )
-        self.sybil_identifiers = [
-            identifier
-            for node in self.nodes.values() if node.is_malicious
-            for identifier in node.controlled_identifiers
-        ]
-        # The adversary's identifier set is fixed at construction; walks
-        # test membership once per initiation, so build the set once instead
-        # of once per walk.
-        self._malicious_identifiers = set(self.malicious_ids) | set(
-            self.sybil_identifiers)
-        if overlay is None:
-            # Scatter malicious nodes around the ring (see GossipSimulation).
-            node_order = list(self.nodes)
-            children[-1].shuffle(node_order)
-            overlay = ring_with_shortcuts(
-                node_order, shortcuts=max(1, total // 2),
-                random_state=children[-1],
-            )
-        self.overlay = overlay
-        self.rounds_executed = 0
-        self._all_active = True
-
-    # ------------------------------------------------------------------ #
-    # Walk mechanics
-    # ------------------------------------------------------------------ #
     def _next_hop(self, current: int, carrying_malicious: bool) -> Optional[int]:
         """Pick the next hop of a walk currently at ``current``.
 
@@ -132,10 +65,7 @@ class RandomWalkSimulation:
         a correct identifier are pulled towards *malicious* neighbours (to
         suppress its dissemination) whenever such neighbours exist.
         """
-        neighbors = self.overlay.neighbors(current)
-        if not self._all_active:
-            neighbors = [neighbor for neighbor in neighbors
-                         if self.nodes[neighbor].active]
+        neighbors = self._neighbors(current)
         if not neighbors:
             return None
         node = self.nodes[current]
@@ -153,39 +83,23 @@ class RandomWalkSimulation:
         return neighbors[index]
 
     def _run_walk(self, initiator: int, advertised: int,
-                  sink: Optional[Dict[int, List[int]]] = None) -> None:
+                  sink: Dict[int, List[int]]) -> None:
         """Run one walk carrying ``advertised`` starting from ``initiator``.
 
-        With ``sink`` given, deliveries are buffered per visited node (in
-        visit order) instead of being applied immediately; the caller
-        flushes them as per-node chunks at the end of the round.
+        Each visited node's delivery is appended to its list in ``sink``.
         """
-        carrying_malicious = advertised in self._malicious_identifiers
+        carrying_malicious = advertised in self._adversary_identifiers
         current = initiator
         for _ in range(self.config.walk_length):
             next_hop = self._next_hop(current, carrying_malicious)
             if next_hop is None:
                 return
-            if sink is None:
-                self.nodes[next_hop].receive(advertised)
-            else:
-                sink.setdefault(next_hop, []).append(advertised)
+            sink.setdefault(next_hop, []).append(advertised)
             current = next_hop
 
-    def run_round(self) -> None:
-        """Every node initiates its per-round walks.
-
-        Walk routing depends only on the overlay and the simulation
-        generator — never on the receivers' state — so buffering a round's
-        deliveries and ingesting them as one batch chunk per node produces
-        exactly the per-node streams (and sampler states) immediate
-        delivery would.
-        """
-        sink: Optional[Dict[int, List[int]]] = (
-            {} if self.config.batch_delivery else None)
-        # Evaluated once per round so churn-free walks skip the per-hop
-        # active filter (membership is fixed within a round).
-        self._all_active = all(node.active for node in self.nodes.values())
+    def _round_traffic(self):
+        """Every active node initiates its per-round walks."""
+        sink: Dict[int, List[int]] = {}
         for identifier, node in self.nodes.items():
             if not node.active:
                 continue
@@ -193,47 +107,4 @@ class RandomWalkSimulation:
                      else self.config.walks_per_node)
             for _ in range(walks):
                 self._run_walk(identifier, node.advertisement(), sink)
-        if sink is not None:
-            for target, chunk in sink.items():
-                self.nodes[target].receive_batch(chunk)
-        self.rounds_executed += 1
-
-    def run(self, rounds: int) -> None:
-        """Execute ``rounds`` dissemination rounds."""
-        check_positive("rounds", rounds)
-        for _ in range(rounds):
-            self.run_round()
-
-    # ------------------------------------------------------------------ #
-    # Observation
-    # ------------------------------------------------------------------ #
-    def correct_nodes(self) -> List[CorrectNode]:
-        """Return the correct nodes of the simulation."""
-        return [self.nodes[identifier] for identifier in self.correct_ids]
-
-    def input_stream_of(self, identifier: int) -> IdentifierStream:
-        """Return the input stream received so far by a correct node."""
-        node = self.nodes[int(identifier)]
-        if node.is_malicious:
-            raise ValueError("malicious nodes do not run the sampling service")
-        universe = sorted(set(self.correct_ids) | set(self.malicious_ids)
-                          | set(self.sybil_identifiers))
-        return IdentifierStream(
-            identifiers=list(node.received),
-            universe=universe,
-            malicious=sorted(set(self.malicious_ids) | set(self.sybil_identifiers)),
-            label=f"walk-input(node={identifier})",
-        )
-
-    def output_stream_of(self, identifier: int) -> IdentifierStream:
-        """Return the sampler output stream of a correct node."""
-        node = self.nodes[int(identifier)]
-        if node.is_malicious:
-            raise ValueError("malicious nodes do not run the sampling service")
-        output = node.sampling_service.output_stream
-        return IdentifierStream(
-            identifiers=output.identifiers,
-            universe=self.input_stream_of(identifier).universe,
-            malicious=sorted(set(self.malicious_ids) | set(self.sybil_identifiers)),
-            label=f"walk-output(node={identifier})",
-        )
+        return sink.items()

@@ -96,11 +96,6 @@ class SystemConfig:
     node_config: NodeConfig = field(default_factory=NodeConfig)
     fanout: int = 3
     malicious_fanout: int = 6
-    #: Ingest each round's dissemination traffic per node as one chunk
-    #: through the batch engine (default).  Bit-identical to per-element
-    #: delivery — the False setting exists for the equivalence regression
-    #: tests and as an escape hatch for exotic custom strategies.
-    batch_delivery: bool = True
     #: Optional dynamic membership; when set, ``num_correct`` is the
     #: population at round 0 and the simulation runs
     #: ``churn.total_rounds`` rounds (the ``rounds`` field is ignored).
@@ -196,31 +191,24 @@ class SystemSimulation:
              num_correct) = self._draw_schedule(
                 num_correct, self.config.churn, schedule_rng)
         if self.config.protocol is DisseminationProtocol.GOSSIP:
-            self._engine = GossipSimulation(
-                num_correct,
-                self.config.num_malicious,
-                sybil_identifiers_per_malicious=(
-                    self.config.sybil_identifiers_per_malicious),
-                config=GossipConfig(
-                    fanout=self.config.fanout,
-                    malicious_fanout=self.config.malicious_fanout,
-                    node_config=self.config.node_config,
-                    batch_delivery=self.config.batch_delivery,
-                ),
-                random_state=random_state,
+            engine_class = GossipSimulation
+            engine_config = GossipConfig(
+                fanout=self.config.fanout,
+                malicious_fanout=self.config.malicious_fanout,
+                node_config=self.config.node_config,
             )
         else:
-            self._engine = RandomWalkSimulation(
-                num_correct,
-                self.config.num_malicious,
-                sybil_identifiers_per_malicious=(
-                    self.config.sybil_identifiers_per_malicious),
-                config=RandomWalkConfig(
-                    node_config=self.config.node_config,
-                    batch_delivery=self.config.batch_delivery,
-                ),
-                random_state=random_state,
-            )
+            engine_class = RandomWalkSimulation
+            engine_config = RandomWalkConfig(
+                node_config=self.config.node_config)
+        self._engine = engine_class(
+            num_correct,
+            self.config.num_malicious,
+            sybil_identifiers_per_malicious=(
+                self.config.sybil_identifiers_per_malicious),
+            config=engine_config,
+            random_state=random_state,
+        )
         if self.config.churn is not None:
             self._initially_inactive = [
                 event.node_id for event in self._membership_events

@@ -533,7 +533,6 @@ class ScenarioRunner:
             ),
             fanout=network.fanout,
             malicious_fanout=network.malicious_fanout,
-            batch_delivery=network.batch_delivery,
         )
 
     def system_simulation(self, *, random_state=None) -> SystemSimulation:

@@ -159,7 +159,6 @@ class NetworkSpec:
     memory_size: int = 10
     sketch_width: int = 10
     sketch_depth: int = 5
-    batch_delivery: bool = True
 
     def __post_init__(self) -> None:
         if self.protocol not in ("gossip", "random-walk"):
@@ -169,8 +168,12 @@ class NetworkSpec:
         check_positive("num_correct", self.num_correct)
         if self.num_malicious < 0:
             raise ScenarioError("num_malicious must be non-negative")
+        check_positive("sybil_identifiers_per_malicious",
+                       self.sybil_identifiers_per_malicious)
         check_positive("rounds", self.rounds)
         check_positive("memory_size", self.memory_size)
+        check_positive("sketch_width", self.sketch_width)
+        check_positive("sketch_depth", self.sketch_depth)
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the JSON-serializable form of the network section."""

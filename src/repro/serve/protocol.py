@@ -119,10 +119,16 @@ async def read_frame(reader: asyncio.StreamReader, *,
     """Read one pickled frame; returns ``(message, payload_bytes)``.
 
     Only called after the peer authenticated — nothing reaches
-    ``pickle.loads`` before the handshake succeeds.
+    ``pickle.loads`` before the handshake succeeds.  A payload that does
+    not unpickle comes back as ``None``, which the read loop answers as a
+    malformed frame.
     """
     blob = await _read_exact_frame(reader, limit=limit)
-    return pickle.loads(blob), len(blob)
+    try:
+        message = pickle.loads(blob)
+    except Exception:  # bad bytes raise any of a dozen exception types
+        message = None
+    return message, len(blob)
 
 
 def write_frame(writer: asyncio.StreamWriter, message: Any) -> int:

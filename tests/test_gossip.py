@@ -88,6 +88,8 @@ class TestGossipSimulation:
             GossipSimulation(0, 1)
         with pytest.raises(ValueError):
             GossipSimulation(5, -1)
+        with pytest.raises(ValueError, match="sybil_identifiers_per_malicious"):
+            GossipSimulation(5, 1, sybil_identifiers_per_malicious=0)
 
     def test_custom_node_config_propagates(self):
         config = GossipConfig(node_config=NodeConfig(memory_size=4,

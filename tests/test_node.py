@@ -20,44 +20,17 @@ class TestNodeConfig:
 
 
 class TestCorrectNode:
-    def test_receive_feeds_sampler_and_view(self):
+    def test_receive_batch_feeds_sampler(self):
         node = CorrectNode(0, random_state=0)
-        node.receive(5)
-        node.receive(6)
+        node.receive_batch([5, 6])
         assert node.received == [5, 6]
-        assert set(node.view) == {5, 6}
+        assert node.sampling_service.strategy.elements_processed == 2
+        assert len(node.sampling_service.output_stream) == 2
         assert node.sample() in {5, 6}
-
-    def test_own_identifier_not_added_to_view(self):
-        node = CorrectNode(3, random_state=1)
-        node.receive(3)
-        assert node.view == []
-        assert node.received == [3]
 
     def test_advertisement_is_own_identifier(self):
         node = CorrectNode(9, random_state=2)
         assert node.advertisement() == 9
-
-    def test_gossip_targets_exclude_self_and_duplicates(self):
-        node = CorrectNode(0, random_state=3)
-        for identifier in [1, 2, 3, 4, 5, 0, 0]:
-            node.receive(identifier)
-        targets = node.gossip_targets(3)
-        assert len(targets) <= 3
-        assert 0 not in targets
-        assert len(set(targets)) == len(targets)
-
-    def test_gossip_targets_fall_back_to_view(self):
-        node = CorrectNode(0, random_state=4)
-        node.view = [7, 8, 9]
-        targets = node.gossip_targets(2)
-        assert set(targets) <= {7, 8, 9}
-        assert targets
-
-    def test_gossip_targets_validation(self):
-        node = CorrectNode(0, random_state=5)
-        with pytest.raises(ValueError):
-            node.gossip_targets(0)
 
     def test_is_not_malicious(self):
         assert CorrectNode(0).is_malicious is False
@@ -65,7 +38,7 @@ class TestCorrectNode:
 
 class TestMaliciousNode:
     def test_cycles_controlled_identifiers(self):
-        node = MaliciousNode(100, [200, 201, 202], random_state=0)
+        node = MaliciousNode(100, [200, 201, 202])
         advertised = [node.advertisement() for _ in range(6)]
         assert advertised == [200, 201, 202, 200, 201, 202]
 
@@ -73,22 +46,11 @@ class TestMaliciousNode:
         with pytest.raises(ValueError):
             MaliciousNode(100, [])
 
-    def test_receive_only_observes(self):
-        node = MaliciousNode(100, [200], random_state=1)
-        node.receive(5)
-        assert node.view == [5]
-
-    def test_gossip_targets_from_view(self):
-        node = MaliciousNode(100, [200], random_state=2)
-        for identifier in [1, 2, 3, 1, 2]:
-            node.receive(identifier)
-        targets = node.gossip_targets(2)
-        assert set(targets) <= {1, 2, 3}
-        assert len(targets) == 2
-
-    def test_gossip_targets_empty_view(self):
-        node = MaliciousNode(100, [200], random_state=3)
-        assert node.gossip_targets(2) == []
+    def test_receive_batch_keeps_nothing(self):
+        node = MaliciousNode(100, [200])
+        state = dict(vars(node))
+        node.receive_batch([5, 6])
+        assert vars(node) == state
 
     def test_is_malicious(self):
         assert MaliciousNode(1, [2]).is_malicious is True

@@ -76,3 +76,5 @@ class TestRandomWalkSimulation:
             RandomWalkSimulation(0, 0)
         with pytest.raises(ValueError):
             RandomWalkSimulation(5, -2)
+        with pytest.raises(ValueError, match="sybil_identifiers_per_malicious"):
+            RandomWalkSimulation(5, 1, sybil_identifiers_per_malicious=0)

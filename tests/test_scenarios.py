@@ -142,6 +142,14 @@ class TestSpecSerialization:
         with pytest.raises(ScenarioError, match="metric group"):
             MetricsSpec(collect=["gain", "latency"])
 
+    @pytest.mark.parametrize("field", ["sybil_identifiers_per_malicious",
+                                       "sketch_width", "sketch_depth"])
+    def test_network_dimensions_must_be_positive(self, field):
+        data = small_network_spec().to_dict()
+        data["network"][field] = 0
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict(data)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ScenarioError, match="invalid scenario JSON"):
             ScenarioSpec.from_json("{not json")

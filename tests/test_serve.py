@@ -9,6 +9,7 @@ backends alike.
 """
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -24,6 +25,7 @@ import repro
 from repro.bench.compare import compare_records, load_record
 from repro.cli import main
 from repro.engine import AuthenticationError, ShardedSamplingService
+from repro.engine.backends import wire
 from repro.serve import (
     BackpressureError,
     IngestRetryError,
@@ -235,6 +237,27 @@ class TestBackpressure:
                 client.sample_many(5, strict=True)  # empty ensemble
             assert client.ping()  # session survives the failed request
         thread.drain()
+
+
+class TestMalformedFrames:
+
+    def test_unpicklable_frame_is_answered_then_closed(self, caplog):
+        thread = ServerThread(_service(seed=5), TOKEN)
+        address = thread.start()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServeClient(address, auth_token=TOKEN) as client:
+                wire.send_raw_frame(client._connection,
+                                    b"\x80\x05garbage-not-a-pickle")
+                assert client.read_reply() == (
+                    False, "malformed frame: expected (command, payload)")
+                with pytest.raises(wire.ConnectionLost):
+                    client.read_reply()
+            with ServeClient(address, auth_token=TOKEN) as client:
+                assert client.ping()
+        thread.drain()
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"
+                    and record.levelno >= logging.ERROR]
 
 
 class TestIngestBackoff:

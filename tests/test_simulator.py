@@ -1,11 +1,14 @@
 """Tests for repro.network.simulator (the end-to-end SystemSimulation)."""
 
-from dataclasses import replace
+import copy
+import hashlib
 
 import pytest
 
+from repro.engine.batch import run_stream_scalar
 from repro.network.node import NodeConfig
 from repro.network.simulator import (
+    ChurnConfig,
     DisseminationProtocol,
     SystemConfig,
     SystemSimulation,
@@ -83,40 +86,58 @@ class TestSystemSimulation:
         assert report.mean_malicious_fraction_output == 0.0
 
 
-class TestBatchDeliveryEquivalence:
-    """Batch ingestion must reproduce the scalar delivery path exactly.
+def _delivery_config(protocol, churn=None):
+    return SystemConfig(num_correct=12, num_malicious=3, rounds=12,
+                        protocol=protocol, churn=churn,
+                        sybil_identifiers_per_malicious=2,
+                        node_config=NodeConfig(memory_size=5, sketch_width=8,
+                                               sketch_depth=3))
 
-    The simulator now feeds each node's sampling service one chunk per round
-    through ``on_receive_batch``; because the engine's batch processing is
-    bit-identical to per-element processing for the same coins, the whole
-    simulation — per-node input streams, sampler outputs and uniformity
-    reports — must match per-element delivery bit for bit.
+
+class TestDeliveryPath:
+    """Every correct node ingests its round traffic as one chunk per round.
+
+    Walk and gossip routing never read a receiver's state, so a node's
+    sampler must end exactly where the per-element Algorithm 3 reference
+    ends on the node's whole input stream, and the input streams themselves
+    are pinned by digest.
     """
 
+    @pytest.mark.parametrize("churn", [None, ChurnConfig(
+        churn_rounds=6, stable_rounds=6, join_rate=0.4, leave_rate=0.4)],
+        ids=["steady", "churn"])
     @pytest.mark.parametrize("protocol", [DisseminationProtocol.GOSSIP,
                                           DisseminationProtocol.RANDOM_WALK])
-    def test_reports_and_streams_match_scalar_path(self, protocol):
-        base = SystemConfig(num_correct=12, num_malicious=3, rounds=12,
-                            protocol=protocol,
-                            sybil_identifiers_per_malicious=2,
-                            node_config=NodeConfig(memory_size=5,
-                                                   sketch_width=8,
-                                                   sketch_depth=3))
-        batch = SystemSimulation(replace(base, batch_delivery=True),
-                                 random_state=42).run()
-        scalar = SystemSimulation(replace(base, batch_delivery=False),
-                                  random_state=42).run()
-        batch_report = batch.report()
-        scalar_report = scalar.report()
-        assert len(batch_report.per_node) == len(scalar_report.per_node)
-        for batch_node, scalar_node in zip(batch_report.per_node,
-                                           scalar_report.per_node):
-            assert batch_node == scalar_node
-        for node_id in batch.engine.correct_ids:
-            assert (batch.engine.input_stream_of(node_id).identifiers
-                    == scalar.engine.input_stream_of(node_id).identifiers)
-            assert (batch.engine.output_stream_of(node_id).identifiers
-                    == scalar.engine.output_stream_of(node_id).identifiers)
+    def test_each_node_matches_the_per_element_reference(self, protocol,
+                                                         churn):
+        simulation = SystemSimulation(_delivery_config(protocol, churn),
+                                      random_state=42)
+        engine = simulation.engine
+        references = {node.identifier: copy.deepcopy(
+                          node.sampling_service.strategy)
+                      for node in engine.correct_nodes()}
+        simulation.run()
+        if churn is not None:
+            assert simulation.membership_events
+        for node in engine.correct_nodes():
+            reference = references[node.identifier]
+            inputs = engine.input_stream_of(node.identifier).identifiers
+            replay = run_stream_scalar(reference, inputs)
+            assert (replay.outputs.tolist()
+                    == engine.output_stream_of(node.identifier).identifiers)
+            assert reference.memory == node.sampling_service.strategy.memory
 
-    def test_batch_delivery_is_the_default(self):
-        assert SystemConfig().batch_delivery is True
+    # sha256 of this seed's per-node input streams: grouping a round's
+    # traffic by receiver must keep every receiver's arrival order.
+    @pytest.mark.parametrize("protocol, digest", [
+        (DisseminationProtocol.GOSSIP,
+         "003e54c925c46e0360babb1be4fac73e90b91538c4148e8bf7daaf8948cdf69a"),
+        (DisseminationProtocol.RANDOM_WALK,
+         "41c2d29e61cda7c263bdbbdfaf1d7dcfddf6b5d315349f7d4157507c30f6a87c"),
+    ], ids=["gossip", "random-walk"])
+    def test_input_streams_are_pinned(self, protocol, digest):
+        engine = SystemSimulation(_delivery_config(protocol),
+                                  random_state=42).run().engine
+        streams = repr([engine.input_stream_of(identifier).identifiers
+                        for identifier in engine.correct_ids])
+        assert hashlib.sha256(streams.encode()).hexdigest() == digest
