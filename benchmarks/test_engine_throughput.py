@@ -44,7 +44,11 @@ the speed never comes at the cost of the exactness contract).  Both drivers
 run in one process, one after the other, so the gate can fail on any core
 count.  On a 2-core host, 17 runs at the CI scale (200k elements) gave
 16.9-25.1x and 5 runs at the default scale 18.1-20.2x, so a kernel that
-turns 2x slower fails it.
+turns 2x slower fails it.  (Those ratios were taken with the NumPy chunk
+kernel, before the compiled one.)  The last test gates the compiled
+Algorithm 3 chunk kernel the same way: the ``batch`` workload runs through
+it and through the NumPy kernel it falls back to, in one process, and the
+compiled kernel must stay at least 3x faster with identical outputs.
 """
 
 import multiprocessing
@@ -59,7 +63,7 @@ from repro.bench.record import (
     summarise_snapshot,
     write_bench_json,
 )
-from repro.core import KnowledgeFreeStrategy
+from repro.core import KnowledgeFreeStrategy, chunk_kernel
 from repro.engine import ShardedSamplingService, run_stream, run_stream_scalar
 from repro.engine.backends import shm
 from repro.streams import PAPER_TRACES, SyntheticTrace, zipf_stream
@@ -356,3 +360,43 @@ def test_batch_driver_at_least_10x_faster_than_scalar(print_result):
         f"batch driver only {speedup:.2f}x the scalar path "
         f"({batch_eps:,.0f} vs {scalar_eps:,.0f} elem/s)"
     )
+
+
+#: Floor of the compiled/NumPy chunk-kernel ratio on the ``batch`` workload:
+#: 0.6 of the slowest of 24 runs at the CI scale (200k elements) on a 2-core
+#: host, which gave 5.01-6.78x.
+COMPILED_OVER_NUMPY_FLOOR = 3.0
+
+
+@pytest.mark.figure("throughput")
+def test_batch_compiled_kernel_faster_than_numpy_kernel(print_result,
+                                                        identifiers,
+                                                        monkeypatch):
+    """The compiled chunk kernel against the NumPy kernel, in one process.
+
+    Runs the ``batch`` tier's workload three times through each kernel,
+    alternating, and compares the best run of each; the NumPy kernel is
+    forced as on a host without a compiler.  Both must give the same
+    outputs.  Like the batch/scalar gate, it holds on any core count.
+    """
+    kernel = chunk_kernel.load()
+    if kernel is None:
+        pytest.skip("the compiled chunk kernel cannot be built on this host")
+    best = {}
+    outputs = {}
+    for _ in range(3):
+        for name, loaded in (("compiled", kernel), ("numpy", None)):
+            monkeypatch.setattr(chunk_kernel, "load",
+                                lambda loaded=loaded: loaded)
+            result = run_stream(_strategy(), identifiers,
+                                batch_size=BATCH_SIZE)
+            best[name] = max(best.get(name, 0.0), result.throughput)
+            outputs[name] = result.outputs
+    ratio = best["compiled"] / best["numpy"]
+    print_result("chunk kernel speedup",
+                 f"compiled kernel is {ratio:.2f}x the NumPy kernel "
+                 f"({best['compiled']:,.0f} vs {best['numpy']:,.0f} elem/s)")
+    assert np.array_equal(outputs["compiled"], outputs["numpy"])
+    assert ratio >= COMPILED_OVER_NUMPY_FLOOR, (
+        f"compiled kernel only {ratio:.2f}x the NumPy kernel "
+        f"({best['compiled']:,.0f} vs {best['numpy']:,.0f} elem/s)")

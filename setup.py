@@ -1,10 +1,19 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package definition of ``repro`` (src layout).
 
-The project is fully described by ``pyproject.toml``; this file only exists so
-that ``pip install -e . --no-use-pep517`` (the legacy editable path) works in
-offline environments where pip cannot build a wheel.
+There is no ``pyproject.toml``: this file is the whole description.  It
+declares the ``src`` layout and ships the compiled chunk kernel's C source
+(``repro/core/chunk_kernel.c``) as package data, because the installed
+package builds that kernel at first use; without the source an installed
+copy would run the NumPy fallback kernel.  NumPy is the one runtime
+dependency.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.core": ["chunk_kernel.c"]},
+    install_requires=["numpy"],
+)

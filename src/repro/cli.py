@@ -204,11 +204,13 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
 
     Also checks what it times: ``exact`` reports whether the batch outputs
     over the scalar run's prefix equal the scalar outputs, and the command
-    exits with status 1 when they do not.
+    exits with status 1 when they do not.  ``kernel`` names the Algorithm 3
+    chunk kernel the batch and sharded drivers ran: ``compiled``, or
+    ``numpy`` where the compiled one could not be built.
     """
     import numpy as np
 
-    from repro.core import KnowledgeFreeStrategy
+    from repro.core import KnowledgeFreeStrategy, chunk_kernel
     from repro.engine import (
         ShardedSamplingService,
         run_stream,
@@ -250,6 +252,7 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
     # the batch kernel must reproduce the per-element reference exactly
     exact = bool(np.array_equal(batch.outputs[:scalar_limit],
                                 scalar.outputs))
+    kernel = chunk_kernel.kernel_name()
     sharded_label = f"sharded x{arguments.shards}"
     if arguments.backend != "serial":
         sharded_label += (f" [{arguments.backend}"
@@ -281,6 +284,7 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
             },
             "tiers": rows,
             "exact": exact,
+            "kernel": kernel,
             "telemetry": registry.snapshot(),
         }
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -293,10 +297,11 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
             "vs scalar": (row["vs_scalar"] if row["vs_scalar"] is not None
                           else float("nan")),
             "exact": exact if row["driver"] == "batch" else "",
+            "kernel": kernel if row["driver"] != "scalar" else "",
         } for row in rows]
         print(format_table(table_rows, columns=[
             "driver", "elements", "seconds", "elements/s", "vs scalar",
-            "exact"]))
+            "exact", "kernel"]))
     if not exact:
         raise SystemExit(1)
 

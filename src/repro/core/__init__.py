@@ -4,6 +4,9 @@
 * :mod:`repro.core.omniscient` — Algorithm 1 (omniscient strategy);
 * :mod:`repro.core.knowledge_free` — Algorithm 3 (knowledge-free strategy
   backed by a Count-Min sketch);
+* :mod:`repro.core.chunk_kernel` — Algorithm 3 over a whole chunk in C,
+  built with the system compiler at first use (the strategy falls back to
+  its NumPy chunk kernel where that fails);
 * :mod:`repro.core.baselines` — min-wise (Brahms-style), reservoir and
   full-memory baselines;
 * :mod:`repro.core.service` — the :class:`NodeSamplingService` facade exposing

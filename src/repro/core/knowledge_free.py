@@ -31,11 +31,14 @@ streams for the same seed, whatever the chunking.
 The contract both paths keep: an accept coin goes only to a *qualifier* —
 an element that arrives with Gamma full, is not in Gamma and has
 ``a_j > 0`` — in element order; a victim coin goes only to an accepted
-qualifier; every element draws exactly one sample coin.  Once Gamma is
-full the batch path takes a chunk's sample coins with one ``take``.  It
-cannot know in advance how many qualifiers a chunk holds, so it reads its
-accept coins with one ``peek`` of at most the chunk's length and then
-calls ``advance`` with exactly the number of coins its qualifiers used.
+qualifier; every element draws exactly one sample coin.  The batch path
+has two chunk kernels, compiled and NumPy.  The compiled one takes a
+chunk's sample coins with one ``take_array``; the NumPy one draws them one
+at a time while Gamma fills and with one ``take`` once it is full.
+Neither can know in advance how many qualifiers a chunk holds, so each
+reads its accept coins (the compiled kernel its victim coins too) with one
+``peek`` of at most the chunk's length and then calls ``advance`` with
+exactly the number of coins it used.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ from typing import List, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core import chunk_kernel
 from repro.core.base import SamplingStrategy
 from repro.sketches.count_min import CountMinSketch
+from repro.sketches.hashing import MERSENNE_PRIME_61
 from repro.utils.rng import (
     BufferedUniforms,
     RandomState,
@@ -176,8 +181,10 @@ class KnowledgeFreeStrategy(SamplingStrategy):
 
         Bit-identical to calling :meth:`process` once per element: the
         admission logic, coin-flip consumption and outputs are exactly those
-        of the scalar path.  The speed-up comes from (a) the Count-Min half
-        running as array operations over the whole chunk
+        of the scalar path.  The compiled chunk kernel
+        (:mod:`repro.core.chunk_kernel`) runs that loop in C.  Where it
+        cannot be built, the NumPy kernel's speed-up comes from (a) the
+        Count-Min half running as array operations over the whole chunk
         (:meth:`~repro.sketches.count_min.CountMinSketch.update_and_estimate`:
         one broadcast hashing pass, every element's estimate from a stable
         argsort of its cells, ``min_sigma`` tracked by a loop over the few
@@ -207,7 +214,39 @@ class KnowledgeFreeStrategy(SamplingStrategy):
         return self._process_chunk_count_min(ids)
 
     def _process_chunk_count_min(self, ids: np.ndarray) -> np.ndarray:
-        """Algorithm 3 over one chunk, Count-Min oracle only."""
+        """Algorithm 3 over one chunk, Count-Min oracle only.
+
+        Runs the compiled kernel (:mod:`repro.core.chunk_kernel`) when it
+        built and every hash row uses the Mersenne-61 prime, else the NumPy
+        kernel (:meth:`_process_chunk_numpy`).  Either leaves exactly the
+        state of the per-element loop, so the two can alternate freely
+        within one stream.
+        """
+        kernel = chunk_kernel.load()
+        sketch = self.frequency_oracle
+        if kernel is None or any(function.prime != MERSENNE_PRIME_61
+                                 for function in sketch._hash_functions):
+            return self._process_chunk_numpy(ids)
+        size = int(ids.size)
+        memory = self._memory
+        gamma = np.zeros(self.memory_size, dtype=np.int64)
+        gamma[:len(memory)] = memory
+        outputs, length, accepted, drawn = chunk_kernel.run_chunk(
+            kernel, np.ascontiguousarray(ids), sketch, gamma, len(memory),
+            self._sample_coins.take_array(size),
+            self._accept_coins.peek_array(size),
+            self._victim_coins.peek_array(size))
+        self._accept_coins.advance(accepted)
+        self._victim_coins.advance(drawn)
+        memory[:] = gamma[:length].tolist()
+        self._memory_set.clear()
+        self._memory_set.update(memory)
+        self._memory_snapshot = None
+        self._elements_processed += size
+        return outputs
+
+    def _process_chunk_numpy(self, ids: np.ndarray) -> np.ndarray:
+        """Algorithm 3 over one chunk in NumPy, Count-Min oracle only."""
         estimates, min_cells = self.frequency_oracle.update_and_estimate(ids)
         # a_j = min(1, min_sigma / f̂_j).  float64 division of the int64
         # counts equals the scalar path's Python int / int while the counts

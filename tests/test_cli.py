@@ -259,6 +259,23 @@ class TestTelemetryCli:
         assert counters["engine.elements"] > 0
         assert counters["backend.serial.dispatches"] >= 1
         assert report["exact"] is True
+        assert report["kernel"] in ("compiled", "numpy")
+
+    def test_throughput_reports_the_numpy_kernel_when_none_builds(
+            self, capsys, monkeypatch):
+        import json
+
+        from repro.core import chunk_kernel
+
+        monkeypatch.setattr(chunk_kernel, "load", lambda: None)
+        assert main(["throughput", "--stream-size", "3000",
+                     "--population-size", "300", "--scalar-limit", "1000",
+                     "--batch-size", "512", "--memory-size", "5",
+                     "--sketch-width", "8", "--sketch-depth", "3",
+                     "--shards", "2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kernel"] == "numpy"
+        assert report["exact"] is True
 
     def test_throughput_exits_1_when_batch_diverges(self, capsys,
                                                     monkeypatch):
@@ -296,6 +313,7 @@ class TestTelemetryCli:
                      "--sketch-depth", "3", "--shards", "2"]) == 0
         output = capsys.readouterr().out
         assert "elements/s" in output
+        assert "kernel" in output
         assert "telemetry" not in output
 
     def test_run_telemetry_out_writes_snapshot(self, tmp_path, capsys):

@@ -6,7 +6,14 @@ safe for the experiment harness to run every figure on the vectorised path.
 The seed-determinism tests below are the regression guard for that contract.
 """
 
+import logging
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +25,7 @@ from repro.core import (
     MinWiseSampler,
     NodeSamplingService,
     ReservoirSampler,
+    chunk_kernel,
 )
 from repro.engine import (
     BatchResult,
@@ -70,6 +78,34 @@ KERNEL_CASES = [
      KERNEL_SKETCHES[(s + 2 * c) % 3], sorted(KERNEL_PATHS)[(s // 4 + c) % 2])
     for s in range(len(KERNEL_STREAMS)) for c in range(len(KERNEL_CHUNKS))
 ]
+#: The same cases without the NumPy kernel's admission-path factor.
+COMPILED_CASES = list(dict.fromkeys(case[:4] for case in KERNEL_CASES))
+
+
+def _kernel_strategy(memory, sketch):
+    width, depth = sketch
+    return KnowledgeFreeStrategy(memory, sketch_width=width,
+                                 sketch_depth=depth, random_state=41)
+
+
+def _assert_same_state(reference, strategy):
+    """``strategy`` left every observable of Algorithm 3 as ``reference``."""
+    assert reference.memory == strategy.memory
+    assert np.array_equal(reference.sketch.table, strategy.sketch.table)
+    assert reference.sketch.total == strategy.sketch.total
+    assert reference.sketch.min_cell() == strategy.sketch.min_cell()
+    for coins in ("_accept_coins", "_victim_coins", "_sample_coins"):
+        assert (getattr(reference, coins).next()
+                == getattr(strategy, coins).next()), coins
+
+
+@pytest.fixture
+def compiled_kernel():
+    """The compiled chunk kernel; skips where it cannot be built."""
+    kernel = chunk_kernel.load()
+    if kernel is None:
+        pytest.skip("the compiled chunk kernel cannot be built on this host")
+    return kernel
 
 
 class TestSeedDeterminism:
@@ -133,12 +169,14 @@ class TestSeedDeterminism:
              for name, chunk, memory, (width, depth), path in KERNEL_CASES])
     def test_chunk_kernel_matches_scalar_reference(
             self, monkeypatch, stream_name, chunk, memory, sketch, path):
-        """The chunk kernel leaves every observable exactly as ``process``.
+        """The NumPy chunk kernel leaves every observable as ``process``.
 
-        Each admission path is forced through the break-even constant: 0
-        sends every chunk with a qualifier to the per-element loop, infinity
-        sends every chunk to the vectorised path.
+        The loader is forced to report no compiled kernel.  Each admission
+        path is forced through the break-even constant: 0 sends every chunk
+        with a qualifier to the per-element loop, infinity sends every chunk
+        to the vectorised path.
         """
+        monkeypatch.setattr(chunk_kernel, "load", lambda: None)
         monkeypatch.setattr(knowledge_free, "_VECTOR_ADMISSION_BREAK_EVEN",
                             KERNEL_PATHS[path])
         vectorised = KnowledgeFreeStrategy._admit_between_replacements
@@ -161,23 +199,60 @@ class TestSeedDeterminism:
         monkeypatch.setattr(KnowledgeFreeStrategy, "_admit_per_element",
                             checked_per_element)
         stream = _kernel_stream(stream_name)
-        width, depth = sketch
-
-        def build():
-            return KnowledgeFreeStrategy(memory, sketch_width=width,
-                                         sketch_depth=depth, random_state=41)
-
-        reference, kernel = build(), build()
+        reference = _kernel_strategy(memory, sketch)
+        kernel = _kernel_strategy(memory, sketch)
         expected = run_stream_scalar(reference, stream)
         result = run_stream(kernel, stream, batch_size=chunk)
         assert np.array_equal(expected.outputs, result.outputs)
-        assert reference.memory == kernel.memory
-        assert np.array_equal(reference.sketch.table, kernel.sketch.table)
-        assert reference.sketch.total == kernel.sketch.total
-        assert reference.sketch.min_cell() == kernel.sketch.min_cell()
-        for coins in ("_accept_coins", "_victim_coins", "_sample_coins"):
-            assert (getattr(reference, coins).next()
-                    == getattr(kernel, coins).next()), coins
+        _assert_same_state(reference, kernel)
+
+    @pytest.mark.parametrize(
+        "stream_name,chunk,memory,sketch", COMPILED_CASES,
+        ids=[f"{name}-chunk{chunk}-c{memory}-{width}x{depth}"
+             for name, chunk, memory, (width, depth) in COMPILED_CASES])
+    def test_compiled_kernel_matches_scalar_reference(
+            self, monkeypatch, compiled_kernel, stream_name, chunk, memory,
+            sketch):
+        """The compiled chunk kernel leaves every observable as ``process``."""
+        def numpy_kernel(self, ids):
+            raise AssertionError("the NumPy kernel ran")
+
+        monkeypatch.setattr(KnowledgeFreeStrategy, "_process_chunk_numpy",
+                            numpy_kernel)
+        stream = _kernel_stream(stream_name)
+        reference = _kernel_strategy(memory, sketch)
+        kernel = _kernel_strategy(memory, sketch)
+        expected = run_stream_scalar(reference, stream)
+        result = run_stream(kernel, stream, batch_size=chunk)
+        assert np.array_equal(expected.outputs, result.outputs)
+        _assert_same_state(reference, kernel)
+
+    @pytest.mark.parametrize("stream_name,memory", [("zipf1.1", 7),
+                                                    ("zipf2", 70)])
+    @pytest.mark.parametrize("first", ["compiled", "numpy"])
+    def test_kernels_interchange_mid_stream(self, monkeypatch,
+                                            compiled_kernel, stream_name,
+                                            memory, first):
+        """A strategy pickled after one kernel's chunks continues on the other.
+
+        Zipf(2) over memory 70 is still filling Gamma at the switch (61
+        distinct ids so far) and fills after it; Zipf(1.1) over memory 7
+        admits ids all along.
+        """
+        stream = _kernel_stream(stream_name, size=4_000)
+        reference = _kernel_strategy(memory, (200, 5))
+        expected = run_stream_scalar(reference, stream)
+        strategy = _kernel_strategy(memory, (200, 5))
+        loaders = {"compiled": lambda: compiled_kernel, "numpy": lambda: None}
+        second = "numpy" if first == "compiled" else "compiled"
+        outputs = []
+        for half, kernel in ((stream[:2_000], first),
+                             (stream[2_000:], second)):
+            monkeypatch.setattr(chunk_kernel, "load", loaders[kernel])
+            outputs.append(run_stream(strategy, half, batch_size=300).outputs)
+            strategy = pickle.loads(pickle.dumps(strategy))
+        assert np.array_equal(expected.outputs, np.concatenate(outputs))
+        _assert_same_state(reference, strategy)
 
 
 class TestRunStream:
@@ -259,3 +334,77 @@ class TestServiceBatchInterface:
         service = NodeSamplingService(_knowledge_free())
         with pytest.raises(ValueError):
             service.consume(STREAM, batch_size=0)
+
+
+class TestChunkKernelLoader:
+    """Building and loading the compiled kernel, and falling back."""
+
+    def test_build_failure_falls_back_with_one_warning(self, monkeypatch,
+                                                       tmp_path, caplog):
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(chunk_kernel, "COMPILER",
+                            "repro-test-no-such-compiler")
+        monkeypatch.setattr(chunk_kernel, "CACHE_DIR", cache)
+        monkeypatch.setattr(chunk_kernel, "_kernel", chunk_kernel._UNSET)
+        reference, strategy = _knowledge_free(), _knowledge_free()
+        with caplog.at_level(logging.WARNING, logger=chunk_kernel.__name__):
+            assert chunk_kernel.load() is None
+            expected = run_stream_scalar(reference, STREAM)
+            result = run_stream(strategy, STREAM, batch_size=1000)
+            assert chunk_kernel.kernel_name() == "numpy"
+        warnings = [record for record in caplog.records
+                    if record.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "repro-test-no-such-compiler" in warnings[0].getMessage()
+        assert np.array_equal(expected.outputs, result.outputs)
+        _assert_same_state(reference, strategy)
+        assert list(cache.iterdir()) == []
+
+    def test_concurrent_builds_leave_one_library(self, compiled_kernel,
+                                                 tmp_path):
+        """Two processes building into one empty cache both get a kernel."""
+        cache = tmp_path / "cache"
+        script = textwrap.dedent("""
+            import sys, time
+            from pathlib import Path
+
+            import numpy as np
+
+            from repro.core import KnowledgeFreeStrategy, chunk_kernel
+            from repro.engine import run_stream, run_stream_scalar
+            from repro.streams import zipf_stream
+
+            cache = Path(sys.argv[1])
+            chunk_kernel.CACHE_DIR = cache
+            # start both builds together
+            (cache.parent / f"ready-{sys.argv[2]}").touch()
+            deadline = time.monotonic() + 60
+            while (len(list(cache.parent.glob("ready-*"))) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert chunk_kernel.load() is not None
+            stream = zipf_stream(3_000, 300, alpha=1.2, random_state=5)
+
+            def build():
+                return KnowledgeFreeStrategy(10, sketch_width=32,
+                                             sketch_depth=4, random_state=3)
+
+            expected = run_stream_scalar(build(), stream).outputs
+            assert np.array_equal(
+                run_stream(build(), stream, batch_size=500).outputs, expected)
+            print(chunk_kernel.kernel_name())
+        """)
+        source = Path(chunk_kernel.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(source), os.environ.get("PYTHONPATH")])))
+        processes = [subprocess.Popen(
+            [sys.executable, "-c", script, str(cache), str(worker)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for worker in range(2)]
+        for process in processes:
+            out, err = process.communicate(timeout=180)
+            assert process.returncode == 0, err
+            assert out.strip() == "compiled"
+        libraries = list(cache.iterdir())
+        assert len(libraries) == 1
+        assert libraries[0].suffix == ".so"

@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stirling import occupancy_distribution, stirling_second_kind
+from repro.core import chunk_kernel
 from repro.core.knowledge_free import KnowledgeFreeStrategy
 from repro.core.omniscient import OmniscientStrategy
 from repro.metrics.distributions import FrequencyDistribution
@@ -193,3 +197,62 @@ class TestSamplerInvariants:
         for identifier in table:
             probability = oracle.insertion_probability(identifier)
             assert 0.0 < probability <= 1.0 + 1e-12
+
+
+#: Chunk-kernel inputs: ids that recur (42 small ones, so Gamma fills and
+#: ids outside it come back and face rejection), negative ids, ids around
+#: and above 2^61 (reduced mod 2^61 - 1 before hashing) and arbitrary
+#: 64-bit ids.
+kernel_identifiers = st.lists(
+    st.one_of(st.integers(-12, 12),
+              st.integers(2**61 - 8, 2**61 + 8),
+              st.integers(-2**63, 2**63 - 1)),
+    min_size=1, max_size=600)
+
+
+class TestChunkKernelProperties:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(identifiers=kernel_identifiers,
+           cuts=st.lists(st.integers(min_value=0, max_value=600),
+                         max_size=8),
+           memory_size=st.integers(min_value=1, max_value=60),
+           width=st.integers(min_value=1, max_value=40),
+           depth=st.integers(min_value=1, max_value=6),
+           seed=st.integers(0, 2**31 - 1))
+    def test_compiled_numpy_and_scalar_kernels_agree(
+            self, identifiers, cuts, memory_size, width, depth, seed):
+        """Both chunk kernels, any chunking, leave ``process``'s state."""
+        kernel = chunk_kernel.load()
+        if kernel is None:
+            pytest.skip("the compiled chunk kernel cannot be built here")
+        ids = np.asarray(identifiers, dtype=np.int64)
+        chunks = np.split(ids, sorted({cut % ids.size for cut in cuts}))
+
+        def build():
+            return KnowledgeFreeStrategy(memory_size, sketch_width=width,
+                                         sketch_depth=depth,
+                                         random_state=seed)
+
+        reference = build()
+        expected = [reference.process(identifier)
+                    for identifier in identifiers]
+        runs = {}
+        for name, loaded in (("compiled", kernel), ("numpy", None)):
+            strategy = build()
+            with mock.patch.object(chunk_kernel, "load",
+                                   lambda loaded=loaded: loaded):
+                outputs = [strategy.process_batch(chunk) for chunk in chunks]
+            assert np.concatenate(outputs).tolist() == expected, name
+            runs[name] = strategy
+        for name, strategy in runs.items():
+            assert strategy.memory == reference.memory, name
+            assert np.array_equal(strategy.sketch.table,
+                                  reference.sketch.table), name
+            assert strategy.sketch.total == reference.sketch.total, name
+            assert (strategy.sketch.min_cell()
+                    == reference.sketch.min_cell()), name
+        for coins in ("_accept_coins", "_victim_coins", "_sample_coins"):
+            values = {getattr(strategy, coins).next()
+                      for strategy in (reference, *runs.values())}
+            assert len(values) == 1, coins

@@ -176,11 +176,14 @@ class _SlowService:
     def __init__(self, inner, delay=0.2):
         self._inner = inner
         self._delay = delay
+        #: Set when an admitted ingest starts running.
+        self.ingesting = threading.Event()
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def on_receive_batch(self, identifiers):
+        self.ingesting.set()
         time.sleep(self._delay)
         return self._inner.on_receive_batch(identifiers)
 
@@ -208,15 +211,18 @@ class TestBackpressure:
             assert reply["retry_after"] > 0
 
     def test_client_retries_through_backpressure(self):
-        thread = ServerThread(_SlowService(_service(seed=2), delay=0.05),
-                              TOKEN, queue_cap=1, connection_hwm=16,
+        slow = _SlowService(_service(seed=2), delay=0.05)
+        thread = ServerThread(slow, TOKEN, queue_cap=1, connection_hwm=16,
                               retry_after=0.02)
         address = thread.start()
         with ServeClient(address, auth_token=TOKEN) as probe:
             with ServeClient(address, auth_token=TOKEN) as client:
                 # saturate the queue, then check the retry loop lands the
-                # batch anyway
+                # batch anyway.  The two connections' frames can reach the
+                # server in either order, so the probe waits until the
+                # client's ingest holds the one slot.
                 client.send_command("ingest", {"ids": IDS[:64]})
+                assert slow.ingesting.wait(timeout=30)
                 result = probe.ingest(IDS[64:128], max_retries=50)
                 assert result["count"] == 64
                 assert client.read_reply()[0] is True
