@@ -32,13 +32,12 @@ The contract both paths keep: an accept coin goes only to a *qualifier* —
 an element that arrives with Gamma full, is not in Gamma and has
 ``a_j > 0`` — in element order; a victim coin goes only to an accepted
 qualifier; every element draws exactly one sample coin.  The batch path
-has two chunk kernels, compiled and NumPy.  The compiled one takes a
-chunk's sample coins with one ``take_array``; the NumPy one draws them one
-at a time while Gamma fills and with one ``take`` once it is full.
-Neither can know in advance how many qualifiers a chunk holds, so each
-reads its accept coins (the compiled kernel its victim coins too) with one
-``peek`` of at most the chunk's length and then calls ``advance`` with
-exactly the number of coins it used.
+has two chunk kernels, compiled and NumPy, and each takes a chunk's
+sample coins at once.  Neither can know in advance how many qualifiers a
+chunk holds, so each reads its accept coins with one ``peek`` of the
+chunk's length and then calls ``advance`` with exactly the number of
+coins it used.  The compiled kernel reads its victim coins the same way;
+the NumPy kernel draws them one at a time.
 """
 
 from __future__ import annotations
@@ -57,22 +56,6 @@ from repro.utils.rng import (
     ensure_rng,
     spawn_children,
 )
-
-#: Break-even of the two admission paths of a chunk with Gamma full, in
-#: expected replacements per element (the sum of ``a_j`` over the chunk's
-#: qualifiers, divided by the number of elements).  The vectorised path
-#: costs a few array passes over the chunk plus, per replacement, one
-#: Python step and an O(chunk) recurrence check (and a recomputation of the
-#: qualifiers when a replaced id recurs); the per-element loop costs one
-#: Python step per element.  Both therefore scale with the chunk length and
-#: meet at a replacement rate that moves little with it.  Timed on Zipf
-#: chunks of 512 to 8192 elements (2-core x86-64 host, CPython 3.11, NumPy
-#: 2.4), the two paths tie at 0.013-0.028 replacements per element (0.013
-#: at 8192 elements, 0.021 at 2048, 0.028 at 512); on synthetic chunks
-#: whose ids never recur the vectorised path still wins at 0.04.  For
-#: scale, over a 4-shard ensemble (memory 50, 200x5 sketch): Zipf(2) runs
-#: at ~0.003, Zipf(1.1) at ~0.05 and the NASA trace stand-in at ~0.24.
-_VECTOR_ADMISSION_BREAK_EVEN = 0.02
 
 
 @runtime_checkable
@@ -188,13 +171,8 @@ class KnowledgeFreeStrategy(SamplingStrategy):
         (:meth:`~repro.sketches.count_min.CountMinSketch.update_and_estimate`:
         one broadcast hashing pass, every element's estimate from a stable
         argsort of its cells, ``min_sigma`` tracked by a loop over the few
-        hits that can move it), (b) admission running with Python once per
-        *replacement*, not once per element: Gamma is constant between two
-        replacements, so membership, the accept-coin test and the output
-        draws are array operations in between, and (c) chunks that expect
-        many replacements running admission as a lean per-element loop over
-        the precomputed ``a_j`` instead, whichever the expected replacement
-        rate makes cheaper.
+        hits that can move it) and (b) admission running as a lean
+        per-element loop over the precomputed ``a_j``.
 
         Subclasses that override the admission logic (e.g. the adaptive
         strategy) and strategies driven by a non-Count-Min oracle fall back
@@ -246,7 +224,12 @@ class KnowledgeFreeStrategy(SamplingStrategy):
         return outputs
 
     def _process_chunk_numpy(self, ids: np.ndarray) -> np.ndarray:
-        """Algorithm 3 over one chunk in NumPy, Count-Min oracle only."""
+        """Algorithm 3 over one chunk in NumPy, Count-Min oracle only.
+
+        With the sketch work done for the whole chunk, each element's step
+        only tests membership, compares its ``a_j`` with the next peeked
+        accept coin and draws the output.
+        """
         estimates, min_cells = self.frequency_oracle.update_and_estimate(ids)
         # a_j = min(1, min_sigma / f̂_j).  float64 division of the int64
         # counts equals the scalar path's Python int / int while the counts
@@ -258,130 +241,29 @@ class KnowledgeFreeStrategy(SamplingStrategy):
         memory = self._memory
         memory_set = self._memory_set
         capacity = self.memory_size
-        # While Gamma fills (a strategy's first few dozen distinct ids), an
-        # element draws no accept or victim coin, only its sample coin.
-        filled: List[int] = []
-        index = 0
-        if len(memory) < capacity:
-            sample_next = self._sample_coins.next
-            for identifier in ids.tolist():
-                if len(memory) >= capacity:
-                    break
-                if identifier not in memory_set:
-                    memory.append(identifier)
-                    memory_set.add(identifier)
-                filled.append(memory[int(sample_next() * len(memory))])
-                index += 1
-        self._memory_snapshot = None
-        self._elements_processed += size
-        if index == size:
-            return np.asarray(filled, dtype=np.int64)
-        rest = ids[index:]
-        acceptance = acceptance[index:]
-        # A qualifier arrives with Gamma full, is not in Gamma and has
-        # a_j > 0: exactly the elements that draw an accept coin.
-        positive = acceptance > 0
-        members = np.sort(np.asarray(memory, dtype=np.int64))
-        found = np.searchsorted(members, rest)
-        found[found == capacity] = 0
-        qualifies = positive & (members[found] != rest)
-        expected = float(acceptance[qualifies].sum())
-        # Each path takes the rest of the chunk's sample coins at once, in
-        # the form it reads them.
-        if expected > _VECTOR_ADMISSION_BREAK_EVEN * rest.size:
-            admitted = self._admit_per_element(
-                rest, acceptance, self._sample_coins.take(rest.size))
-        else:
-            admitted = self._admit_between_replacements(
-                rest, acceptance, positive, qualifies,
-                self._sample_coins.take_array(rest.size))
-        if not filled:
-            return admitted
-        return np.concatenate([np.asarray(filled, dtype=np.int64), admitted])
-
-    def _admit_between_replacements(self, ids: np.ndarray,
-                                    acceptance: np.ndarray,
-                                    positive: np.ndarray,
-                                    qualifies: np.ndarray,
-                                    samples: np.ndarray) -> np.ndarray:
-        """Admission with Gamma full, vectorised between two replacements.
-
-        Gamma is constant between two accepted replacements, so the accept
-        coins of a whole run of qualifiers are compared at once and the
-        outputs up to the next acceptance are one gather; Python runs once
-        per replacement.  A replacement changes who qualifies later in the
-        chunk only if the admitted id (which stops qualifying) or the
-        evicted id (which qualifies again) recurs there; only then are the
-        qualifiers and their coins recomputed.
-        """
-        memory = self._memory
-        memory_set = self._memory_set
-        capacity = self.memory_size
         victim_next = self._victim_coins.next
-        gamma = np.asarray(memory, dtype=np.int64)
-        slots = (samples * capacity).astype(np.int64)
-        coins = self._accept_coins.peek_array(ids.size)
-        outputs = np.empty(ids.size, dtype=np.int64)
-        used = 0       # accept coins drawn before ``start``
-        start = 0      # first element whose output is not yet drawn
-        while True:
-            candidates = np.flatnonzero(qualifies[start:]) + start
-            trial = coins[used:used + candidates.size] < acceptance[candidates]
-            for drawn in np.flatnonzero(trial).tolist():
-                position = int(candidates[drawn])
-                outputs[start:position] = gamma[slots[start:position]]
-                victim_index = int(victim_next() * capacity)
-                evicted = memory[victim_index]
-                admitted = int(ids[position])
-                memory_set.discard(evicted)
-                memory[victim_index] = admitted
-                memory_set.add(admitted)
-                gamma[victim_index] = admitted
-                outputs[position] = gamma[slots[position]]
-                start = position + 1
-                tail = ids[start:]
-                recurs_admitted = tail == admitted
-                recurs_evicted = tail == evicted
-                if recurs_admitted.any() or recurs_evicted.any():
-                    qualifies[start:] &= ~recurs_admitted
-                    qualifies[start:] |= positive[start:] & recurs_evicted
-                    used += drawn + 1
-                    break
-            else:
-                outputs[start:] = gamma[slots[start:]]
-                used += candidates.size
-                break
-        self._accept_coins.advance(used)
-        return outputs
-
-    def _admit_per_element(self, ids: np.ndarray, acceptance: np.ndarray,
-                           samples: List[float]) -> np.ndarray:
-        """Admission with Gamma full, one Python step per element.
-
-        Used when a chunk expects too many replacements for the vectorised
-        path to pay off.  The sketch work is already done, so each step only
-        tests membership, compares a precomputed ``a_j`` with the next
-        peeked accept coin and draws the output.
-        """
-        memory = self._memory
-        memory_set = self._memory_set
-        capacity = self.memory_size
-        victim_next = self._victim_coins.next
-        coins = self._accept_coins.peek(ids.size)
+        coins = self._accept_coins.peek(size)
         used = 0
         outputs: List[int] = []
         append = outputs.append
         for identifier, probability, sample in zip(
-                ids.tolist(), acceptance.tolist(), samples):
-            if probability > 0 and identifier not in memory_set:
-                if coins[used] < probability:
-                    victim_index = int(victim_next() * capacity)
-                    memory_set.discard(memory[victim_index])
-                    memory[victim_index] = identifier
+                ids.tolist(), acceptance.tolist(),
+                self._sample_coins.take(size)):
+            if identifier not in memory_set:
+                if len(memory) < capacity:
+                    memory.append(identifier)
                     memory_set.add(identifier)
-                used += 1
-            append(memory[int(sample * capacity)])
+                elif probability > 0:
+                    if coins[used] < probability:
+                        victim_index = int(victim_next() * capacity)
+                        memory_set.discard(memory[victim_index])
+                        memory[victim_index] = identifier
+                        memory_set.add(identifier)
+                    used += 1
+            append(memory[int(sample * len(memory))])
         self._accept_coins.advance(used)
+        self._memory_snapshot = None
+        self._elements_processed += size
         return np.asarray(outputs, dtype=np.int64)
 
     # ------------------------------------------------------------------ #

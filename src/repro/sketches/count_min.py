@@ -15,7 +15,7 @@ uses as a proxy for the frequency of the rarest identifier seen so far.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -25,11 +25,7 @@ from repro.sketches.hashing import (
     hash_rows,
 )
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import (
-    check_batch,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_positive, check_probability
 
 
 def dimensions_from_error(epsilon: float, delta: float) -> Tuple[int, int]:
@@ -94,16 +90,11 @@ class CountMinSketch:
     # ------------------------------------------------------------------ #
     # Streaming interface
     # ------------------------------------------------------------------ #
-    #: Below this batch size the vectorised path loses to plain Python: the
-    #: fixed cost of the numpy calls exceeds the per-element savings.
-    _VECTOR_THRESHOLD = 32
-
     def update(self, item: int, count: int = 1) -> None:
         """Record ``count`` occurrences of ``item`` (Algorithm 2, lines 5-7).
 
-        This is the single-element specialisation of :meth:`update_batch`,
-        kept as a direct loop because per-element callers (the gossip
-        simulator, the scalar reference driver) are themselves hot paths.
+        The per-element path; the NumPy chunk kernel updates a whole chunk
+        through :meth:`update_and_estimate`.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
@@ -113,43 +104,8 @@ class CountMinSketch:
 
     def update_many(self, items: Iterable[int]) -> None:
         """Record a batch of single occurrences."""
-        self.update_batch(np.fromiter(items, dtype=np.int64))
-
-    def update_batch(self, items, counts=None) -> None:
-        """Record a batch of occurrences with amortised vectorised hashing.
-
-        Parameters
-        ----------
-        items:
-            Array-like of identifiers.
-        counts:
-            Optional array-like of positive integer per-item multiplicities
-            (default: every item counts once).
-
-        Equivalent to calling :meth:`update` once per item — the sketch state
-        after the batch is identical because counter increments commute.
-        """
-        items, counts = check_batch(items, counts)
-        size = int(items.size)
-        if size == 0:
-            return
-        if size < self._VECTOR_THRESHOLD:
-            item_list = items.tolist()
-            count_list = counts.tolist() if counts is not None else [1] * size
-            for item, count in zip(item_list, count_list):
-                for row, hash_function in enumerate(self._hash_functions):
-                    self._table[row, hash_function(item)] += count
-            self._total += sum(count_list)
-            return
-        columns = self.hash_columns(items)
-        if counts is None:
-            self._table += np.bincount(
-                self._cells(columns).reshape(-1), minlength=self._table.size
-            ).reshape(self._table.shape)
-        else:
-            rows = np.arange(self.depth)[:, None]
-            np.add.at(self._table, (rows, columns), counts)
-        self._total += size if counts is None else int(counts.sum())
+        for item in items:
+            self.update(item)
 
     def estimate(self, item: int) -> int:
         """Return ``f̂_item``, the Count-Min estimate of the item's frequency."""
@@ -157,18 +113,6 @@ class CountMinSketch:
             self._table[row, hash_function(item)]
             for row, hash_function in enumerate(self._hash_functions)
         ))
-
-    def estimate_batch(self, items) -> np.ndarray:
-        """Return the Count-Min estimates for a whole batch of identifiers.
-
-        Agrees element-wise with repeated :meth:`estimate` calls on the same
-        sketch state; hashing is vectorised across the batch.
-        """
-        items = np.atleast_1d(np.asarray(items))
-        if items.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        cells = self._cells(self.hash_columns(items))
-        return self._table.reshape(-1)[cells].min(axis=0)
 
     # ------------------------------------------------------------------ #
     # Quantities used by the knowledge-free strategy
@@ -434,26 +378,9 @@ class ExactFrequencyCounter:
         for item in items:
             self.update(item)
 
-    def update_batch(self, items, counts=None) -> None:
-        """Record a batch of occurrences (interface parity with the sketch)."""
-        items, counts = check_batch(items, counts)
-        if counts is None:
-            for item in items.tolist():
-                self.update(item)
-            return
-        for item, count in zip(items.tolist(), counts.tolist()):
-            self.update(item, count)
-
     def estimate(self, item: int) -> int:
         """Return the exact frequency of ``item`` (0 if never seen)."""
         return self._counts.get(item, 0)
-
-    def estimate_batch(self, items) -> np.ndarray:
-        """Return the exact frequencies for a batch of identifiers."""
-        item_list = np.atleast_1d(np.asarray(items)).tolist()
-        get = self._counts.get
-        return np.fromiter((get(item, 0) for item in item_list),
-                           dtype=np.int64, count=len(item_list))
 
     def min_cell(self) -> int:
         """Return the frequency of the rarest identifier seen so far (0 if none)."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.sketches.hashing import UniversalHashFamily, UniversalHashFunction
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import check_batch, check_positive
+from repro.utils.validation import check_positive
 
 
 class CountSketch:
@@ -54,15 +54,8 @@ class CountSketch:
         self._table = np.zeros((self.depth, self.width), dtype=np.int64)
         self._total = 0
 
-    #: Below this batch size the vectorised path loses to plain Python.
-    _VECTOR_THRESHOLD = 32
-
     def _sign(self, row: int, item: int) -> int:
         return 1 if self._sign_hashes[row](item) == 1 else -1
-
-    def _signs_batch(self, row: int, items: np.ndarray) -> np.ndarray:
-        """Vectorised ``{-1, +1}`` signs of a batch of items in one row."""
-        return self._sign_hashes[row].hash_many(items) * 2 - 1
 
     def update(self, item: int, count: int = 1) -> None:
         """Record ``count`` occurrences of ``item``."""
@@ -74,31 +67,8 @@ class CountSketch:
 
     def update_many(self, items: Iterable[int]) -> None:
         """Record a batch of single occurrences."""
-        self.update_batch(np.fromiter(items, dtype=np.int64))
-
-    def update_batch(self, items, counts=None) -> None:
-        """Record a batch of occurrences with amortised vectorised hashing.
-
-        Equivalent to repeated :meth:`update` calls — signed counter
-        increments commute, so the final sketch state is identical.
-        """
-        items, counts = check_batch(items, counts)
-        size = int(items.size)
-        if size == 0:
-            return
-        if size < self._VECTOR_THRESHOLD:
-            item_list = items.tolist()
-            count_list = counts.tolist() if counts is not None else [1] * size
-            for item, count in zip(item_list, count_list):
-                self.update(item, count)
-            return
-        increments = counts if counts is not None else None
-        for row, bucket_hash in enumerate(self._bucket_hashes):
-            columns = bucket_hash.hash_many(items)
-            signed = (self._signs_batch(row, items) if increments is None
-                      else self._signs_batch(row, items) * increments)
-            np.add.at(self._table[row], columns, signed)
-        self._total += size if counts is None else int(counts.sum())
+        for item in items:
+            self.update(item)
 
     def estimate(self, item: int) -> int:
         """Return the median-of-rows estimate of the item's frequency.
@@ -111,25 +81,6 @@ class CountSketch:
             for row, bucket_hash in enumerate(self._bucket_hashes)
         ]
         return max(0, int(statistics.median(values)))
-
-    def estimate_batch(self, items) -> np.ndarray:
-        """Return the clamped median-of-rows estimates for a batch of items.
-
-        Agrees element-wise with repeated :meth:`estimate` calls: the median
-        of an even number of rows averages the two middle values and the
-        result is truncated towards zero before clamping, exactly like the
-        scalar path.
-        """
-        items = np.atleast_1d(np.asarray(items))
-        if items.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        signed = np.empty((self.depth, items.size), dtype=np.int64)
-        for row, bucket_hash in enumerate(self._bucket_hashes):
-            columns = bucket_hash.hash_many(items)
-            signed[row] = self._signs_batch(row, items) * self._table[row, columns]
-        medians = np.median(signed, axis=0)
-        truncated = np.trunc(medians).astype(np.int64)
-        return np.maximum(truncated, 0)
 
     def min_cell(self) -> int:
         """Return a conservative lower bound playing the role of ``min_sigma``.

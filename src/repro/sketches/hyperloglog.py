@@ -148,19 +148,6 @@ class HyperLogLog:
         ranks = remaining_bits - _bit_lengths(remaining) + 1
         return indices, ranks
 
-    def update_batch(self, items) -> None:
-        """Record a batch of occurrences with amortised vectorised hashing.
-
-        Equivalent to calling :meth:`update` once per item — register maxima
-        commute, so the final sketch state is identical.
-        """
-        items = np.atleast_1d(np.asarray(items))
-        if items.size == 0:
-            return
-        indices, ranks = self.hash_batch(items)
-        np.maximum.at(self._registers, indices, ranks.astype(np.uint8))
-        self._total += int(items.size)
-
     def estimate(self) -> float:
         """Return the estimated number of distinct identifiers seen."""
         if self._total == 0:

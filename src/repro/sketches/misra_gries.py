@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-import numpy as np
-
-from repro.utils.validation import check_batch, check_positive
+from repro.utils.validation import check_positive
 
 
 class SpaceSavingSummary:
@@ -50,40 +48,9 @@ class SpaceSavingSummary:
         for item in items:
             self.update(item)
 
-    def update_batch(self, items, counts=None) -> None:
-        """Record a batch of occurrences, aggregated per distinct identifier.
-
-        The chunk is first collapsed into (identifier, multiplicity) pairs in
-        first-occurrence order and each pair is applied as one weighted
-        :meth:`update`.  Space-Saving is order-sensitive, so the resulting
-        summary may differ from element-interleaved processing — but the
-        totals match and the ``f_j <= estimate(j) <= f_j + m / capacity``
-        guarantee is preserved, which is all the sampling strategies rely on.
-        On heavy-hitter streams the aggregation removes almost all of the
-        per-element victim searches.
-        """
-        items, counts = check_batch(items, counts)
-        item_list = items.tolist()
-        aggregated: Dict[int, int] = {}
-        if counts is None:
-            for item in item_list:
-                aggregated[item] = aggregated.get(item, 0) + 1
-        else:
-            for item, count in zip(item_list, counts.tolist()):
-                aggregated[item] = aggregated.get(item, 0) + count
-        for item, count in aggregated.items():
-            self.update(item, count)
-
     def estimate(self, item: int) -> int:
         """Return the (over-)estimate of the item's frequency."""
         return self._counters.get(item, 0)
-
-    def estimate_batch(self, items) -> np.ndarray:
-        """Return the estimates for a batch of identifiers."""
-        item_list = np.atleast_1d(np.asarray(items)).tolist()
-        get = self._counters.get
-        return np.fromiter((get(item, 0) for item in item_list),
-                           dtype=np.int64, count=len(item_list))
 
     def min_cell(self) -> int:
         """Return the smallest tracked counter (0 when the summary is empty)."""

@@ -1,43 +1,13 @@
-"""Small argument-validation helpers shared across the library.
+"""Scalar argument checks shared across the library.
 
-These helpers raise ``ValueError`` with a consistent message format so that
-misuse of the public API fails early and loudly instead of producing silently
-wrong statistics.
+Each helper checks one numeric argument and raises ``ValueError`` with a
+consistent message format, so that misuse of the public API fails early and
+loudly instead of producing silently wrong statistics.
 """
 
 from __future__ import annotations
 
 from numbers import Real
-from typing import Optional, Tuple
-
-import numpy as np
-
-
-def check_batch(items, counts=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Normalise and validate the (items, counts) pair of a batch update.
-
-    Returns ``items`` as at-least-1d array and ``counts`` as a matching
-    ``int64`` array (or ``None`` when absent).  Counts must be integer-typed
-    — a float array would otherwise be silently truncated — and strictly
-    positive, mirroring the scalar ``update(item, count)`` contract.  Shared
-    by every sketch's ``update_batch`` so the checks cannot drift apart.
-    """
-    items = np.atleast_1d(np.asarray(items))
-    if counts is None:
-        return items, None
-    counts = np.atleast_1d(np.asarray(counts))
-    if counts.dtype.kind not in "iu":
-        raise TypeError(
-            f"counts must be an integer array, got dtype {counts.dtype}"
-        )
-    counts = counts.astype(np.int64, copy=False)
-    if counts.shape != items.shape:
-        raise ValueError("counts must match items in shape")
-    if counts.size and int(counts.min()) <= 0:
-        raise ValueError(
-            f"count must be positive, got {int(counts.min())}"
-        )
-    return items, counts
 
 
 def check_positive(name: str, value: Real) -> None:

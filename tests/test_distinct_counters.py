@@ -64,20 +64,9 @@ class TestHyperLogLog:
     def test_estimate_within_three_standard_errors(self, precision):
         sketch = HyperLogLog(precision=precision, random_state=0)
         distinct = 20_000
-        sketch.update_batch(np.arange(distinct))
+        sketch.update_many(range(distinct))
         error = abs(sketch.estimate() - distinct) / distinct
         assert error < 3 * sketch.relative_error()
-
-    def test_update_batch_matches_scalar_updates(self):
-        items = np.random.default_rng(7).integers(0, 10**9, size=3_000)
-        scalar = HyperLogLog(precision=9, random_state=8)
-        batched = HyperLogLog(precision=9, random_state=8)
-        scalar.update_many(items.tolist())
-        for start in range(0, items.size, 700):
-            batched.update_batch(items[start:start + 700])
-        assert np.array_equal(scalar._registers, batched._registers)
-        assert scalar.total == batched.total == items.size
-        assert scalar.estimate() == batched.estimate()
 
     def test_hash_batch_gives_the_scalar_register_change(self):
         items = [0, 1, 2, 3, 1_000, 2**40 + 5, 123_456_789]
@@ -90,13 +79,6 @@ class TestHyperLogLog:
             assert np.flatnonzero(sketch._registers).tolist() == [index]
             assert sketch._registers[index] == rank
             assert 1 <= rank <= remaining_bits + 1
-
-    def test_update_batch_of_nothing_is_a_noop(self):
-        sketch = HyperLogLog(precision=5, random_state=10)
-        sketch.update_batch(np.array([], dtype=np.int64))
-        assert sketch.total == 0
-        assert not sketch._registers.any()
-        assert sketch.estimate() == 0.0
 
     def test_same_seed_gives_the_same_sketch(self):
         items = list(range(0, 5_000, 3))

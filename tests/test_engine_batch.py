@@ -7,7 +7,6 @@ The seed-determinism tests below are the regression guard for that contract.
 """
 
 import logging
-import math
 import os
 import pickle
 import subprocess
@@ -18,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.core.knowledge_free as knowledge_free
 from repro.core import (
     AdaptiveKnowledgeFreeStrategy,
     KnowledgeFreeStrategy,
@@ -63,23 +61,20 @@ def _kernel_stream(name, size=3_000):
     return (1 << 61) + offset + rng.integers(0, 300, size)
 
 
-#: Pairwise subset of streams x chunk sizes x memory sizes x sketch shapes x
-#: admission paths: every pair of levels of any two factors occurs at least
-#: once in these 40 cases.  Memory 7 or 50 with chunks of 64 or 1000 fills
-#: Gamma part-way through a chunk.
+#: Pairwise subset of streams x chunk sizes x memory sizes x sketch shapes:
+#: every pair of levels of any two factors occurs at least once in these 40
+#: cases, each run once per chunk kernel.  Memory 7 or 50 with chunks of 64
+#: or 1000 fills Gamma part-way through a chunk.
 KERNEL_STREAMS = ["uniform", "zipf1.1", "zipf2", "zipf4", "peak-attack",
                   "negative", "below-2^61", "above-2^61"]
 KERNEL_CHUNKS = [1, 5, 64, 1000, 8192]
 KERNEL_MEMORIES = [1, 7, 50]
 KERNEL_SKETCHES = [(1, 1), (3, 2), (200, 5)]
-KERNEL_PATHS = {"loop": 0.0, "vectorised": math.inf}
 KERNEL_CASES = [
     (KERNEL_STREAMS[s], KERNEL_CHUNKS[c], KERNEL_MEMORIES[(s + c) % 3],
-     KERNEL_SKETCHES[(s + 2 * c) % 3], sorted(KERNEL_PATHS)[(s // 4 + c) % 2])
+     KERNEL_SKETCHES[(s + 2 * c) % 3])
     for s in range(len(KERNEL_STREAMS)) for c in range(len(KERNEL_CHUNKS))
 ]
-#: The same cases without the NumPy kernel's admission-path factor.
-COMPILED_CASES = list(dict.fromkeys(case[:4] for case in KERNEL_CASES))
 
 
 def _kernel_strategy(memory, sketch):
@@ -163,69 +158,36 @@ class TestSeedDeterminism:
         run_stream(strategy, STREAM, batch_size=300)
         assert strategy.elements_processed == STREAM.size
 
+    @pytest.mark.parametrize("kernel", ["numpy", "compiled"])
     @pytest.mark.parametrize(
-        "stream_name,chunk,memory,sketch,path", KERNEL_CASES,
-        ids=[f"{name}-chunk{chunk}-c{memory}-{width}x{depth}-{path}"
-             for name, chunk, memory, (width, depth), path in KERNEL_CASES])
-    def test_chunk_kernel_matches_scalar_reference(
-            self, monkeypatch, stream_name, chunk, memory, sketch, path):
-        """The NumPy chunk kernel leaves every observable as ``process``.
-
-        The loader is forced to report no compiled kernel.  Each admission
-        path is forced through the break-even constant: 0 sends every chunk
-        with a qualifier to the per-element loop, infinity sends every chunk
-        to the vectorised path.
-        """
-        monkeypatch.setattr(chunk_kernel, "load", lambda: None)
-        monkeypatch.setattr(knowledge_free, "_VECTOR_ADMISSION_BREAK_EVEN",
-                            KERNEL_PATHS[path])
-        vectorised = KnowledgeFreeStrategy._admit_between_replacements
-        per_element = KnowledgeFreeStrategy._admit_per_element
-
-        def checked_vectorised(self, ids, acceptance, positive, qualifies,
-                               samples):
-            # with the constant at 0 the loop takes every chunk that has a
-            # qualifier
-            assert path == "vectorised" or not qualifies.any()
-            return vectorised(self, ids, acceptance, positive, qualifies,
-                              samples)
-
-        def checked_per_element(self, *args):
-            assert path == "loop"
-            return per_element(self, *args)
-
-        monkeypatch.setattr(KnowledgeFreeStrategy,
-                            "_admit_between_replacements", checked_vectorised)
-        monkeypatch.setattr(KnowledgeFreeStrategy, "_admit_per_element",
-                            checked_per_element)
-        stream = _kernel_stream(stream_name)
-        reference = _kernel_strategy(memory, sketch)
-        kernel = _kernel_strategy(memory, sketch)
-        expected = run_stream_scalar(reference, stream)
-        result = run_stream(kernel, stream, batch_size=chunk)
-        assert np.array_equal(expected.outputs, result.outputs)
-        _assert_same_state(reference, kernel)
-
-    @pytest.mark.parametrize(
-        "stream_name,chunk,memory,sketch", COMPILED_CASES,
+        "stream_name,chunk,memory,sketch", KERNEL_CASES,
         ids=[f"{name}-chunk{chunk}-c{memory}-{width}x{depth}"
-             for name, chunk, memory, (width, depth) in COMPILED_CASES])
-    def test_compiled_kernel_matches_scalar_reference(
-            self, monkeypatch, compiled_kernel, stream_name, chunk, memory,
+             for name, chunk, memory, (width, depth) in KERNEL_CASES])
+    def test_chunk_kernel_matches_scalar_reference(
+            self, request, monkeypatch, kernel, stream_name, chunk, memory,
             sketch):
-        """The compiled chunk kernel leaves every observable as ``process``."""
-        def numpy_kernel(self, ids):
-            raise AssertionError("the NumPy kernel ran")
+        """Each chunk kernel leaves every observable as ``process``.
 
-        monkeypatch.setattr(KnowledgeFreeStrategy, "_process_chunk_numpy",
-                            numpy_kernel)
+        The NumPy kernel runs with the loader forced to report no compiled
+        kernel; the compiled one skips where it cannot be built.
+        """
+        if kernel == "numpy":
+            monkeypatch.setattr(chunk_kernel, "load", lambda: None)
+        else:
+            request.getfixturevalue("compiled_kernel")
+
+            def numpy_kernel(self, ids):
+                raise AssertionError("the NumPy kernel ran")
+
+            monkeypatch.setattr(KnowledgeFreeStrategy, "_process_chunk_numpy",
+                                numpy_kernel)
         stream = _kernel_stream(stream_name)
         reference = _kernel_strategy(memory, sketch)
-        kernel = _kernel_strategy(memory, sketch)
+        strategy = _kernel_strategy(memory, sketch)
         expected = run_stream_scalar(reference, stream)
-        result = run_stream(kernel, stream, batch_size=chunk)
+        result = run_stream(strategy, stream, batch_size=chunk)
         assert np.array_equal(expected.outputs, result.outputs)
-        _assert_same_state(reference, kernel)
+        _assert_same_state(reference, strategy)
 
     @pytest.mark.parametrize("stream_name,memory", [("zipf1.1", 7),
                                                     ("zipf2", 70)])

@@ -115,59 +115,3 @@ class TestSpaceSaving:
                 unit.update(int(item))
         assert weighted._counters == unit._counters
         assert weighted.total == unit.total
-
-    def test_update_batch_applies_first_occurrence_aggregates(self):
-        items = np.array([7, 3, 7, 9, 3, 7, 11, 12, 9], dtype=np.int64)
-        counts = np.array([1, 2, 3, 1, 1, 2, 4, 1, 5], dtype=np.int64)
-        batched = SpaceSavingSummary(capacity=3)
-        batched.update_batch(items, counts)
-        expected = SpaceSavingSummary(capacity=3)
-        for item, count in [(7, 6), (3, 3), (9, 6), (11, 4), (12, 1)]:
-            expected.update(item, count)
-        assert batched._counters == expected._counters
-        assert batched.total == int(counts.sum())
-
-    def test_update_batch_without_counts_counts_each_occurrence(self):
-        items = _zipf_items()
-        batched = SpaceSavingSummary(capacity=10)
-        batched.update_batch(items)
-        expected = SpaceSavingSummary(capacity=10)
-        first_seen = {}
-        for item in items.tolist():
-            first_seen[item] = first_seen.get(item, 0) + 1
-        for item, count in first_seen.items():
-            expected.update(item, count)
-        assert batched._counters == expected._counters
-        assert batched.total == len(batched) == items.size
-
-    def test_update_batch_keeps_the_error_bound(self):
-        summary = SpaceSavingSummary(capacity=16)
-        items = _zipf_items(seed=6)
-        for start in range(0, items.size, 256):
-            summary.update_batch(items[start:start + 256])
-        bound = items.size / summary.capacity
-        true_counts = _true_counts(items)
-        for item in summary._counters:
-            assert true_counts[item] <= summary.estimate(item) \
-                <= true_counts[item] + bound
-
-    def test_update_batch_rejects_invalid_counts(self):
-        summary = SpaceSavingSummary(capacity=4)
-        with pytest.raises(ValueError, match="shape"):
-            summary.update_batch([1, 2, 3], [1, 1])
-        with pytest.raises(ValueError, match="positive"):
-            summary.update_batch([1, 2], [1, 0])
-        with pytest.raises(TypeError, match="integer"):
-            summary.update_batch([1, 2], [1.0, 2.0])
-        assert summary.total == 0
-
-    def test_estimate_batch_matches_point_queries(self):
-        summary = SpaceSavingSummary(capacity=6)
-        summary.update_many(_zipf_items(size=400).tolist())
-        queries = np.arange(-2, 60, dtype=np.int64)
-        estimates = summary.estimate_batch(queries)
-        assert estimates.dtype == np.int64
-        assert estimates.tolist() == [summary.estimate(int(item))
-                                      for item in queries]
-        assert summary.estimate_batch(5).tolist() == [summary.estimate(5)]
-

@@ -1,8 +1,8 @@
-"""Edge-case and batch/scalar agreement tests for the sketch layer.
+"""Edge-case and chunk/scalar agreement tests for the sketch layer.
 
-Covers the corners the vectorisation refactor could silently break: empty
-sketches, degenerate 1x1 dimensions, and exact agreement between the batch
-fast paths and repeated scalar calls on random streams.
+Covers empty sketches, degenerate 1x1 dimensions, exact agreement between
+the Count-Min chunk update (``update_and_estimate``) and repeated scalar
+calls on random streams, and the buffered coin streams.
 """
 
 import pickle
@@ -13,7 +13,6 @@ import pytest
 from repro.sketches import (
     CountMinSketch,
     CountSketch,
-    ExactFrequencyCounter,
     SpaceSavingSummary,
 )
 from repro.utils.rng import BufferedUniforms
@@ -37,23 +36,13 @@ class TestEmptySketch:
     def test_space_saving_min_cell_empty(self):
         assert SpaceSavingSummary(capacity=4).min_cell() == 0
 
-    def test_estimate_batch_on_empty_sketch(self):
-        sketch = CountMinSketch(width=8, depth=3, random_state=0)
-        assert sketch.estimate_batch([1, 2, 3]).tolist() == [0, 0, 0]
-
-    def test_update_batch_empty_input(self):
-        sketch = CountMinSketch(width=8, depth=3, random_state=0)
-        sketch.update_batch([])
-        assert sketch.total == 0
-        assert sketch.estimate_batch([]).size == 0
-
 
 class TestDegenerateDimensions:
     @pytest.mark.parametrize("width,depth", [(1, 1), (1, 4), (16, 1)])
     def test_count_min_width_depth_one(self, width, depth):
         sketch = CountMinSketch(width=width, depth=depth, random_state=1)
         items = _random_items(size=500, universe=50)
-        sketch.update_batch(items)
+        sketch.update_many(items)
         assert sketch.total == 500
         if width == 1:
             # every item collides into the single column: the estimate is the
@@ -73,31 +62,12 @@ class TestDegenerateDimensions:
 
     def test_space_saving_capacity_one(self):
         summary = SpaceSavingSummary(capacity=1)
-        summary.update_batch([1, 2, 2, 3])
+        summary.update_many([1, 2, 2, 3])
         assert summary.total == 4
         assert len(summary._counters) == 1
 
 
 class TestBatchScalarAgreement:
-    def test_count_min_estimate_batch_agrees_with_scalar(self):
-        sketch = CountMinSketch(width=64, depth=4, random_state=3)
-        items = _random_items(seed=3)
-        sketch.update_batch(items)
-        queries = _random_items(size=500, seed=4)
-        batch = sketch.estimate_batch(queries)
-        assert batch.tolist() == [sketch.estimate(q) for q in queries]
-
-    def test_count_min_update_batch_agrees_with_scalar(self):
-        batched = CountMinSketch(width=32, depth=5, random_state=5)
-        scalar = CountMinSketch(width=32, depth=5, random_state=5)
-        items = _random_items(seed=6)
-        batched.update_batch(items)
-        for item in items:
-            scalar.update(item)
-        assert np.array_equal(batched.table, scalar.table)
-        assert batched.total == scalar.total
-        assert batched.min_cell() == scalar.min_cell()
-
     @pytest.mark.parametrize("width,depth,universe,chunk", [
         (1, 1, 50, 700),      # one cell: the minimum climbs every element
         (3, 2, 20, 97),
@@ -126,85 +96,6 @@ class TestBatchScalarAgreement:
             assert chunked.total == scalar.total
         empty = chunked.update_and_estimate([])
         assert empty[0].size == empty[1].size == 0
-
-    def test_count_min_weighted_update_batch(self):
-        batched = CountMinSketch(width=32, depth=3, random_state=7)
-        scalar = CountMinSketch(width=32, depth=3, random_state=7)
-        rng = np.random.default_rng(8)
-        items = rng.integers(0, 100, size=400)
-        counts = rng.integers(1, 9, size=400)
-        batched.update_batch(items, counts=counts)
-        for item, count in zip(items.tolist(), counts.tolist()):
-            scalar.update(item, count)
-        assert np.array_equal(batched.table, scalar.table)
-        assert batched.total == scalar.total
-
-    @pytest.mark.parametrize("depth", [3, 4], ids=["odd-depth", "even-depth"])
-    def test_count_sketch_estimate_batch_agrees_with_scalar(self, depth):
-        sketch = CountSketch(width=64, depth=depth, random_state=9)
-        items = _random_items(seed=9)
-        sketch.update_batch(items)
-        queries = _random_items(size=500, seed=10)
-        batch = sketch.estimate_batch(queries)
-        assert batch.tolist() == [sketch.estimate(q) for q in queries]
-
-    def test_count_sketch_update_batch_agrees_with_scalar(self):
-        batched = CountSketch(width=32, depth=5, random_state=11)
-        scalar = CountSketch(width=32, depth=5, random_state=11)
-        items = _random_items(seed=12)
-        batched.update_batch(items)
-        scalar.update_many(iter(items[:16]))   # small path
-        for item in items[16:]:
-            scalar.update(item)
-        assert np.array_equal(batched._table, scalar._table)
-        assert batched.total == scalar.total
-
-    def test_space_saving_estimate_batch_agrees_with_scalar(self):
-        summary = SpaceSavingSummary(capacity=16)
-        items = _random_items(universe=40, seed=13)
-        summary.update_batch(items)
-        queries = list(range(40))
-        batch = summary.estimate_batch(queries)
-        assert batch.tolist() == [summary.estimate(q) for q in queries]
-
-    def test_space_saving_update_batch_preserves_bounds(self):
-        summary = SpaceSavingSummary(capacity=8)
-        items = _random_items(size=3_000, universe=20, seed=14)
-        summary.update_batch(items)
-        assert summary.total == len(items)
-        error = summary.total / summary.capacity
-        for item in set(items):
-            true_frequency = items.count(item)
-            estimate = summary.estimate(item)
-            if estimate:   # tracked items obey the Space-Saving bracket
-                assert true_frequency <= estimate <= true_frequency + error
-
-    def test_exact_counter_batch_interface(self):
-        counter = ExactFrequencyCounter()
-        counter.update_batch([1, 2, 2, 3], counts=[1, 1, 1, 4])
-        assert counter.estimate_batch([1, 2, 3, 9]).tolist() == [1, 2, 4, 0]
-
-    def test_update_batch_rejects_bad_counts(self):
-        sketch = CountMinSketch(width=8, depth=2, random_state=15)
-        with pytest.raises(ValueError):
-            sketch.update_batch([1, 2], counts=[1])
-        with pytest.raises(ValueError):
-            sketch.update_batch([1, 2], counts=[1, 0])
-        with pytest.raises(ValueError):
-            sketch.update(1, count=0)
-
-    @pytest.mark.parametrize("factory", [
-        lambda: CountMinSketch(width=8, depth=2, random_state=15),
-        lambda: CountSketch(width=8, depth=2, random_state=15),
-        lambda: SpaceSavingSummary(capacity=4),
-        ExactFrequencyCounter,
-    ], ids=["count-min", "count-sketch", "space-saving", "exact"])
-    def test_update_batch_rejects_float_counts(self, factory):
-        # regression: float counts were silently truncated to integers
-        sketch = factory()
-        with pytest.raises(TypeError):
-            sketch.update_batch([1, 2, 3], counts=[1.9, 2.9, 3.9])
-        assert sketch.total == 0
 
 
 class TestBufferedUniforms:
