@@ -80,6 +80,31 @@ class TestHyperLogLog:
             assert sketch._registers[index] == rank
             assert 1 <= rank <= remaining_bits + 1
 
+    @pytest.mark.parametrize("items", [
+        np.random.default_rng(7).integers(0, 10**9, size=3_000),
+        np.random.default_rng(7).integers(-2**63, 2**63 - 1, size=3_000,
+                                          dtype=np.int64),
+    ], ids=["below-10^9", "all-int64"])
+    def test_hash_batch_folds_to_the_scalar_registers(self, items):
+        # the adaptive strategy's epoch scan applies hash_batch's register
+        # changes chunk by chunk in place of update
+        scalar = HyperLogLog(precision=9, random_state=8)
+        scalar.update_many(items.tolist())
+        folded = np.zeros_like(scalar._registers)
+        for start in range(0, items.size, 700):
+            indices, ranks = scalar.hash_batch(items[start:start + 700])
+            np.maximum.at(folded, indices, ranks.astype(folded.dtype))
+        assert np.array_equal(folded, scalar._registers)
+
+    def test_update_many_and_hash_batch_of_nothing(self):
+        sketch = HyperLogLog(precision=5, random_state=10)
+        sketch.update_many([])
+        indices, ranks = sketch.hash_batch(np.array([], dtype=np.int64))
+        assert indices.size == ranks.size == 0
+        assert sketch.total == 0
+        assert not sketch._registers.any()
+        assert sketch.estimate() == 0.0
+
     def test_same_seed_gives_the_same_sketch(self):
         items = list(range(0, 5_000, 3))
         first = HyperLogLog(precision=8, random_state=11)

@@ -32,7 +32,12 @@ from repro.engine import (
     run_stream,
     run_stream_scalar,
 )
-from repro.sketches import CountSketch, ExactFrequencyCounter
+from repro.sketches import (
+    CountMinSketch,
+    CountSketch,
+    ExactFrequencyCounter,
+    UniversalHashFamily,
+)
 from repro.streams import peak_attack_stream, zipf_stream
 
 STREAM = zipf_stream(8_000, 1_000, alpha=1.5, random_state=17)
@@ -214,6 +219,58 @@ class TestSeedDeterminism:
             outputs.append(run_stream(strategy, half, batch_size=300).outputs)
             strategy = pickle.loads(pickle.dumps(strategy))
         assert np.array_equal(expected.outputs, np.concatenate(outputs))
+        _assert_same_state(reference, strategy)
+
+    def test_numpy_kernel_draws_coins_only_for_qualifiers(self, monkeypatch):
+        """Accept coins go to qualifiers only, victim coins to accepted ones.
+
+        A qualifier arrives with Gamma full, is not in Gamma and has
+        ``a_j > 0``; the NumPy kernel peeks a chunk's length of accept coins
+        and must advance by exactly the number it used.
+        """
+        monkeypatch.setattr(chunk_kernel, "load", lambda: None)
+        strategy = _kernel_strategy(5, (16, 3))
+        accept = strategy._accept_coins.peek(4)
+        victim = strategy._victim_coins.peek(4)
+        # Gamma fills from the chunk's first five distinct ids; repeats
+        # while it fills and members after it is full draw no coin
+        strategy.process_batch([1, 2, 1, 3, 4, 5, 5, 2, 3, 1, 4])
+        assert sorted(strategy.memory) == [1, 2, 3, 4, 5]
+        assert strategy._accept_coins.peek(4) == accept
+        assert strategy._victim_coins.peek(4) == victim
+        # one non-member: one accept coin, and a victim coin if accepted
+        strategy.process_batch([6])
+        accepted = 6 in strategy.memory
+        assert strategy._accept_coins.peek(3) == accept[1:]
+        assert strategy._victim_coins.peek(3) == \
+            (victim[1:] if accepted else victim[:3])
+        assert strategy.elements_processed == 12
+
+    def test_non_mersenne_hash_rows_take_the_numpy_kernel(self,
+                                                           monkeypatch):
+        """The compiled kernel hashes modulo 2^61 - 1 only.
+
+        A Count-Min sketch drawn over another prime must run the NumPy
+        kernel even where the compiled one loads, and stay exact.
+        """
+        def run_chunk(*args):
+            raise AssertionError("the compiled kernel ran")
+
+        monkeypatch.setattr(chunk_kernel, "load", lambda: object())
+        monkeypatch.setattr(chunk_kernel, "run_chunk", run_chunk)
+        strategies = []
+        for _ in range(2):
+            sketch = CountMinSketch(width=50, depth=4, random_state=43)
+            family = UniversalHashFamily(50, prime=2**31 - 1,
+                                         random_state=44)
+            sketch._hash_functions = tuple(family.draw_many(4))
+            strategies.append(KnowledgeFreeStrategy(
+                7, frequency_oracle=sketch, random_state=45))
+        reference, strategy = strategies
+        stream = _kernel_stream("zipf1.1")
+        expected = run_stream_scalar(reference, stream)
+        result = run_stream(strategy, stream, batch_size=256)
+        assert np.array_equal(expected.outputs, result.outputs)
         _assert_same_state(reference, strategy)
 
 

@@ -115,3 +115,25 @@ class TestSpaceSaving:
                 unit.update(int(item))
         assert weighted._counters == unit._counters
         assert weighted.total == unit.total
+
+    def test_rejected_count_leaves_the_summary_unchanged(self):
+        # a full summary must not evict for an update it rejects
+        summary = SpaceSavingSummary(capacity=2)
+        summary.update_many([1, 2])
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                summary.update(3, count)
+        assert summary._counters == {1: 1, 2: 1}
+        assert summary.total == 2
+
+    def test_update_many_in_chunks_keeps_the_error_bound(self):
+        summary = SpaceSavingSummary(capacity=16)
+        items = _zipf_items(seed=6)
+        for start in range(0, items.size, 256):
+            summary.update_many(items[start:start + 256].tolist())
+        assert summary.total == len(summary) == items.size
+        bound = items.size / summary.capacity
+        true_counts = _true_counts(items)
+        for item in summary._counters:
+            assert true_counts[item] <= summary.estimate(item) \
+                <= true_counts[item] + bound
