@@ -6,7 +6,9 @@ paper's analysis rests on (every placement action is a pure routing change,
 so outputs per seed never move):
 
 * ``serial``  — the reference run: the same Zipf workload on the serial
-  backend, no placement actions (the bit-identity baseline);
+  backend, no placement actions (the bit-identity baseline); it also
+  records ``snapshot_bytes``, the size of the 4-shard ``snapshot()`` after
+  the run;
 * ``process`` / ``socket`` — the same workload on a pool that starts at one
   worker and grows under a load-triggered :class:`AutoscalePolicy`, i.e.
   live migrations and worker spawns happen *inside* the timed run.  Outputs
@@ -14,6 +16,10 @@ so outputs per seed never move):
   recorded extra-info captures the scaling schedule (final worker count,
   scale-ups, migrations) plus the bytes of shard state the migrations
   shipped (each moves one shard's own pickle).
+
+Both byte counts are a pure function of the seed and the workload, so the
+regression gate (:mod:`repro.bench.compare`) holds every ``*_bytes`` tier
+metric to within a fixed 5% of its baseline on any host.
 
 The workload scales down through the same environment knobs as the
 throughput tier (``ENGINE_BENCH_STREAM_SIZE``); the autoscale policy's
@@ -121,6 +127,11 @@ def test_serial_reference_throughput(benchmark, print_result, identifiers):
         lambda: run_stream(service, identifiers, batch_size=BATCH_SIZE),
         rounds=1, iterations=1)
     MERGED_MEMORY["serial"] = service.merged_memory()
+    SCALING["serial"] = {"snapshot_bytes": len(service.snapshot())}
+    benchmark.extra_info.update(SCALING["serial"])
+    print_result("autoscale snapshot: serial",
+                 f"{SCALING['serial']['snapshot_bytes']:,} bytes for "
+                 f"{SHARDS} shards")
     _record(benchmark, print_result, "serial", result)
 
 

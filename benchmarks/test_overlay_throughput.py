@@ -16,7 +16,10 @@ Two workloads are measured:
 
 The node count scales with the environment so the same module serves both
 tiers: CI smoke runs set ``OVERLAY_BENCH_NODES`` to a few hundred; run
-locally without the variable to get the 10k-node measurement.
+locally without the variable to get the 10k-node measurement.  CI also sets
+``OVERLAY_BENCH_ROUNDS`` to 60, so each workload's timed region lasts about
+two seconds at 400 nodes: at 4 rounds (0.1-0.3 s) host noise spread runs
+about 3x, too wide for a 30% gate to catch a 2x slowdown.
 """
 
 import os

@@ -10,7 +10,7 @@ boundary in code: it wraps any engine target (a strategy, a
 observation — the memory contents, the state every adaptive attack reads.
 
 On pipelined backends the observation drains in-flight chunks first (the
-backends' inspection commands all broadcast, which drains), so the state an
+backends' one memory query broadcasts, which drains), so the state an
 adaptive adversary sees after chunk ``k`` is identical on every backend —
 the property that keeps adaptive runs bit-identical to serial per seed.
 """

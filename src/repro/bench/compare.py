@@ -7,12 +7,16 @@ CLI (the CI step)::
 
 Every ``*_per_second`` metric in the baseline's tiers is treated as a
 higher-is-better throughput: the gate fails (exit code 1) when the current
-value falls more than ``tolerance`` below the baseline, or when a baseline
-tier/metric is missing from the current record (a silently vanished tier is
-itself a regression; pass ``--allow-missing`` to tolerate it during
-scale-downs).  Improvements and small fluctuations pass quietly, so the
-committed baseline only needs a deliberate refresh when throughput moves
-for good.
+value falls more than ``tolerance`` below the baseline.  Every ``*_bytes``
+metric is lower-is-better: it fails when the current value exceeds the
+baseline by more than :data:`BYTES_ALLOWANCE`.  Byte counts (migrated or
+snapshotted shard state) are a pure function of the seed and the workload,
+so their allowance is a fixed small constant rather than a host-noise
+tolerance.  A baseline tier/metric missing from the current record fails
+too (a silently vanished tier is itself a regression; pass
+``--allow-missing`` to tolerate it during scale-downs).  Improvements and
+small fluctuations pass quietly, so the committed baseline only needs a
+deliberate refresh when a metric moves for good.
 """
 
 from __future__ import annotations
@@ -22,7 +26,18 @@ import json
 import sys
 from typing import Any, Dict, List
 
-__all__ = ["compare_records", "load_record", "main"]
+__all__ = ["BYTES_ALLOWANCE", "compare_records", "load_record", "main"]
+
+#: Allowed fractional growth of a ``*_bytes`` metric over its baseline.
+BYTES_ALLOWANCE = 0.05
+
+
+def _gated(metrics: Dict[str, Any]) -> Dict[str, float]:
+    """The gated metrics of one baseline tier: throughputs and byte counts."""
+    return {name: value for name, value in metrics.items()
+            if isinstance(value, (int, float)) and (
+                (name.endswith("_per_second") and value > 0)
+                or (name.endswith("_bytes") and value >= 0))}
 
 
 def load_record(path: str) -> Dict[str, Any]:
@@ -41,17 +56,16 @@ def compare_records(current: Dict[str, Any], baseline: Dict[str, Any], *,
                     allow_missing: bool = False) -> List[str]:
     """Return the list of regression messages (empty = gate passes).
 
-    ``tolerance`` is the allowed fractional drop: with ``0.30``, a current
-    throughput below 70% of the baseline fails.
+    ``tolerance`` is the allowed fractional throughput drop: with ``0.30``,
+    a current throughput below 70% of the baseline fails.  Byte counts may
+    grow by :data:`BYTES_ALLOWANCE` at most.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
     failures: List[str] = []
     current_tiers = current.get("tiers", {})
     for tier, metrics in sorted(baseline.get("tiers", {}).items()):
-        gated = {name: value for name, value in metrics.items()
-                 if name.endswith("_per_second")
-                 and isinstance(value, (int, float)) and value > 0}
+        gated = _gated(metrics)
         if not gated:
             continue
         if tier not in current_tiers:
@@ -68,8 +82,14 @@ def compare_records(current: Dict[str, Any], baseline: Dict[str, Any], *,
                         f"tier {tier!r}: metric {name!r} missing from the "
                         "current record")
                 continue
-            floor = base_value * (1.0 - tolerance)
-            if value < floor:
+            if name.endswith("_bytes"):
+                if value > base_value * (1.0 + BYTES_ALLOWANCE):
+                    failures.append(
+                        f"tier {tier!r}: {name} grew "
+                        f"{value - base_value:,.0f} bytes ({value:,.0f} vs "
+                        f"baseline {base_value:,.0f}, allowance "
+                        f"{BYTES_ALLOWANCE:.0%})")
+            elif value < base_value * (1.0 - tolerance):
                 drop = 1.0 - value / base_value
                 failures.append(
                     f"tier {tier!r}: {name} regressed {drop:.0%} "
@@ -108,11 +128,12 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  FAIL {failure}")
         return 1
-    compared = sum(
-        1 for metrics in baseline.get("tiers", {}).values()
-        for metric in metrics if metric.endswith("_per_second"))
-    print(f"bench-compare: {name}: OK ({compared} throughput metric(s) "
-          f"within {arguments.tolerance:.0%} of baseline)")
+    gated = [metric for metrics in baseline.get("tiers", {}).values()
+             for metric in _gated(metrics)]
+    sizes = sum(1 for metric in gated if metric.endswith("_bytes"))
+    print(f"bench-compare: {name}: OK ({len(gated) - sizes} throughput "
+          f"metric(s) within {arguments.tolerance:.0%} of baseline, {sizes} "
+          f"byte metric(s) within {BYTES_ALLOWANCE:.0%})")
     return 0
 
 

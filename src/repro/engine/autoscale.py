@@ -1,14 +1,16 @@
 """Load-triggered autoscaling policy for the shard placement plane.
 
-The :class:`Autoscaler` watches the per-shard load gauges the backend
-already maintains (``cached_loads`` — parent-side mirrors, no worker
-round-trip) and turns them into placement actions: grow the pool when the
-per-worker load target is exceeded, shrink it when workers sit idle, and
-migrate single shards when ownership becomes lopsided.  Decisions are pure
-functions of observed loads and the policy knobs — no clocks, no
-randomness — so a fixed input stream drives the exact same scaling
-schedule on every run and on every backend, preserving the bit-identity
-invariant.
+The :class:`Autoscaler` watches the per-shard loads the backend already
+counts (``shard_loads``: the elements collected so far, no worker round
+trip, no drain) and turns them into placement actions: grow the pool when
+the per-worker load target is exceeded, shrink it when workers sit idle,
+and migrate single shards when ownership becomes lopsided.  Decisions are
+pure functions of those loads and the policy knobs — no clocks, no
+randomness.  The loads are read once per ingested batch, after that batch
+is collected and before any action: a migration drains the pipeline, and
+a chunk collected then would otherwise steer the batch's later checks.  So
+a fixed input stream drives the same scaling schedule on every run and on
+every backend, pipelined or not, preserving the bit-identity invariant.
 """
 
 from __future__ import annotations
@@ -98,11 +100,12 @@ class AutoscalePolicy:
 class Autoscaler:
     """Applies an :class:`AutoscalePolicy` to a scaling-capable backend.
 
-    The service calls :meth:`after_batch` once per ingested batch; every
+    The service calls :meth:`after_batch` once per collected batch; every
     ``check_every`` elements the policy is evaluated against the backend's
-    cached per-shard loads.  At most one corrective action family runs per
-    evaluation (scale up, scale down, or a single rebalancing migration),
-    keeping churn bounded and the schedule easy to reason about.
+    collected per-shard loads, read once per batch.  At most one corrective
+    action family runs per evaluation (scale up, scale down, or a single
+    rebalancing migration), keeping churn bounded and the schedule easy to
+    reason about.
     """
 
     def __init__(self, policy: AutoscalePolicy) -> None:
@@ -123,17 +126,19 @@ class Autoscaler:
 
     def after_batch(self, backend, elements: int) -> None:
         self._since_check += int(elements)
+        if self._since_check < self.policy.check_every:
+            return
+        loads = [int(load) for load in backend.shard_loads()]
         while self._since_check >= self.policy.check_every:
             self._since_check -= self.policy.check_every
-            self.evaluate(backend)
+            self.evaluate(backend, loads)
 
     # ------------------------------------------------------------------ #
     # Policy evaluation
     # ------------------------------------------------------------------ #
-    def evaluate(self, backend) -> None:
+    def evaluate(self, backend, loads: List[int]) -> None:
         self.evaluations += 1
         policy = self.policy
-        loads = [int(load) for load in backend.cached_loads()]
         total = sum(loads)
         ceiling = min(policy.max_workers, backend.shards)
         desired = math.ceil(total / policy.target_load_per_worker) if total else 0

@@ -14,6 +14,11 @@
   serve`` endpoints), bit-identical to serial per master seed;
 * :mod:`repro.engine.backends.wire` — the frame and handshake codec every
   worker channel and the ``repro serve`` protocol share.
+
+The contract reads each sampler quantity one way: every draw goes through
+``sample_many``, every load is the backend's count of collected elements
+(``shard_loads``: no round trip, no drain), and memory is one per-shard
+query (``shard_memories``).
 """
 
 from repro.engine.backends.base import (

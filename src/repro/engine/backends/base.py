@@ -76,7 +76,7 @@ _RESPAWN_BACKOFF = 0.1
 #: deterministic replay after a crash.  ``migrate_in``/``migrate_out`` ride
 #: along so a replay reconstructs shard-membership changes exactly (the
 #: shipped state blob is journalled verbatim).
-_MUTATING_COMMANDS = frozenset({"batch", "sample", "sample_many", "reset",
+_MUTATING_COMMANDS = frozenset({"batch", "sample_many", "reset",
                                 "migrate_in", "migrate_out"})
 
 
@@ -100,11 +100,11 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
     """Execute one worker-protocol command against a shard-service map.
 
     This is the single interpreter of the message-shaped worker protocol
-    (``batch`` / ``sample`` / ``sample_many`` / ``loads`` / ``memory_sizes``
-    / ``memory`` / ``reset`` / ``snapshot`` / ``migrate_in`` /
-    ``migrate_out`` / ``telemetry``), run by :func:`serve_session` for
-    process and socket workers alike, so every pool executes exactly the
-    same per-shard operations.
+    (``batch`` / ``sample_many`` / ``memory`` / ``reset`` / ``snapshot`` /
+    ``migrate_in`` / ``migrate_out`` / ``telemetry``), run by
+    :func:`serve_session` for process and socket workers alike, so every
+    pool executes exactly the same per-shard operations.  Loads have no
+    command: the parent counts the elements it collects.
 
     It runs *inside the worker process*, so it is also where the
     worker-side telemetry accrues: with telemetry enabled, every command is
@@ -145,17 +145,9 @@ def serve_shard_command(services: Dict[int, object], command: str, payload):
         for shard, blob in payload.items():
             services[int(shard)] = pickle.loads(blob)
         return None
-    if command == "sample":
-        return services[payload].sample()
     if command == "sample_many":
         return {shard: [services[shard].sample() for _ in range(count)]
                 for shard, count in payload.items()}
-    if command == "loads":
-        return {shard: service.elements_processed
-                for shard, service in services.items()}
-    if command == "memory_sizes":
-        return {shard: len(service.strategy.memory_view)
-                for shard, service in services.items()}
     if command == "memory":
         return {shard: list(service.strategy.memory_view)
                 for shard, service in services.items()}
@@ -304,6 +296,12 @@ class DispatchTicket:
 class ExecutionBackend(abc.ABC):
     """Executes the per-shard services of a sharded sampling ensemble.
 
+    Of the reads, only :meth:`shard_loads` never drains the pipeline and
+    never makes a worker round trip.  On worker pools every other request
+    (:meth:`sample_many`, :meth:`shard_memories`, :meth:`reset`,
+    :meth:`snapshot_shards`, :meth:`telemetry_snapshots`) drains first and
+    makes one round trip per worker it involves.
+
     Parameters
     ----------
     shards:
@@ -391,17 +389,14 @@ class ExecutionBackend(abc.ABC):
     # Sampling
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def sample_shard(self, shard: int) -> Optional[int]:
-        """Draw one sample from one shard's service."""
-
-    @abc.abstractmethod
-    def sample_shards_many(self, counts: Dict[int, int]
-                           ) -> Dict[int, List[Optional[int]]]:
+    def sample_many(self, counts: Dict[int, int]
+                    ) -> Dict[int, List[Optional[int]]]:
         """Draw ``counts[shard]`` consecutive samples from each listed shard.
 
-        Each shard consumes its own coin stream in call order, so the draws
-        are exactly the ones ``counts[shard]`` successive
-        :meth:`sample_shard` calls would have produced.
+        The one sampling request of the contract.  Each shard consumes its
+        own coin stream in call order, so the draws are exactly the ones
+        ``counts[shard]`` successive ``sample()`` calls on that shard's
+        service would have produced.
         """
 
     # ------------------------------------------------------------------ #
@@ -409,25 +404,17 @@ class ExecutionBackend(abc.ABC):
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def shard_loads(self) -> List[int]:
-        """Per-shard processed-element counts (partition balance check)."""
+        """Per-shard counts of the elements collected so far.
 
-    def cached_loads(self) -> List[int]:
-        """Per-shard loads without a worker round-trip (hot-path variant).
-
-        Backends that can answer :meth:`shard_loads` locally simply reuse it;
-        the worker pools override this with a caller-side counter so the
-        per-sample candidate computation does not pay one IPC round-trip per
-        draw.
+        Serial reads its services' counters, worker pools their parent-side
+        count, which grows when a dispatch is collected.  A dispatch still
+        in flight is not counted; callers that need the synchronous view
+        call :meth:`drain_pipeline` first.
         """
-        return self.shard_loads()
 
     @abc.abstractmethod
-    def memory_sizes(self) -> List[int]:
-        """Per-shard sampling-memory sizes (``len(Gamma)`` per shard)."""
-
-    @abc.abstractmethod
-    def merged_memory(self) -> List[int]:
-        """Concatenation of every shard's sampling memory, in shard order."""
+    def shard_memories(self) -> List[List[int]]:
+        """Every shard's sampling memory ``Gamma``, in shard order."""
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -449,10 +436,10 @@ class ExecutionBackend(abc.ABC):
     def seed_loads(self, loads: Sequence[int]) -> None:
         """Install restored per-shard load counters (restore path only).
 
-        Backends that answer :meth:`cached_loads` from the live services
+        Backends that answer :meth:`shard_loads` from the live services
         (serial) need nothing — the restored services carry their own
         ``elements_processed``.  Worker-pool backends keep a parent-side
-        mirror counter and override this to re-seed it.
+        count and override this to re-seed it.
         """
 
     def telemetry_snapshots(self) -> List[Dict[str, Any]]:
@@ -1046,12 +1033,8 @@ class WorkerPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def sample_shard(self, shard: int) -> Optional[int]:
-        return self._request(self._placement.worker_of(shard),
-                             "sample", shard)
-
-    def sample_shards_many(self, counts: Dict[int, int]
-                           ) -> Dict[int, List[Optional[int]]]:
+    def sample_many(self, counts: Dict[int, int]
+                    ) -> Dict[int, List[Optional[int]]]:
         self.drain_pipeline()
         per_worker: Dict[int, Dict[int, int]] = {}
         for shard, count in counts.items():
@@ -1091,10 +1074,13 @@ class WorkerPoolBackend(ExecutionBackend):
             raise ValueError(f"worker {worker} is not in the pool")
         if self.workers <= 1:
             raise BackendError("cannot remove the last worker of the pool")
+        # read once: the first migration drains the pipeline, and a chunk
+        # collected then must not steer the later targets
+        loads = self.shard_loads()
         for shard in self._placement.shards_of(worker):
             survivors = [w for w in self._placement.worker_ids if w != worker]
             target = min(survivors, key=lambda w: (
-                sum(self._loads[s] for s in self._placement.shards_of(w)), w))
+                sum(loads[s] for s in self._placement.shards_of(w)), w))
             self.migrate_shard(shard, target)
         reg = telemetry.active()
         if reg is not None:
@@ -1144,30 +1130,14 @@ class WorkerPoolBackend(ExecutionBackend):
     # Inspection and lifecycle
     # ------------------------------------------------------------------ #
     def shard_loads(self) -> List[int]:
-        by_shard = self._broadcast("loads")
-        return [by_shard[shard] for shard in range(self.shards)]
-
-    def cached_loads(self) -> List[int]:
-        # The parent-side counter (updated at collect, zeroed at reset) is
-        # provably equal to the worker-side elements_processed — a shard
-        # processes exactly the elements dispatched to it — so the
-        # per-sample candidate computation skips the transport round-trip.
-        # In-flight dispatches are collected first: their elements are
-        # already committed to the workers, and the sampling path's coin
-        # consumption depends on which shards count as loaded.
-        self.drain_pipeline()
+        # updated at collect and zeroed at reset, so it equals the workers'
+        # elements_processed once the pipeline is drained: a shard processes
+        # exactly the elements dispatched to it
         return list(self._loads)
 
-    def memory_sizes(self) -> List[int]:
-        by_shard = self._broadcast("memory_sizes")
-        return [by_shard[shard] for shard in range(self.shards)]
-
-    def merged_memory(self) -> List[int]:
+    def shard_memories(self) -> List[List[int]]:
         by_shard = self._broadcast("memory")
-        merged: List[int] = []
-        for shard in range(self.shards):
-            merged.extend(by_shard[shard])
-        return merged
+        return [by_shard[shard] for shard in range(self.shards)]
 
     def reset(self) -> None:
         self._broadcast("reset")

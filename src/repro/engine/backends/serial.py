@@ -74,11 +74,8 @@ class SerialBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def sample_shard(self, shard: int) -> Optional[int]:
-        return self._services[shard].sample()
-
-    def sample_shards_many(self, counts: Dict[int, int]
-                           ) -> Dict[int, List[Optional[int]]]:
+    def sample_many(self, counts: Dict[int, int]
+                    ) -> Dict[int, List[Optional[int]]]:
         return {shard: [self._services[shard].sample() for _ in range(count)]
                 for shard, count in counts.items()}
 
@@ -88,15 +85,9 @@ class SerialBackend(ExecutionBackend):
     def shard_loads(self) -> List[int]:
         return [service.elements_processed for service in self._services]
 
-    def memory_sizes(self) -> List[int]:
-        return [len(service.strategy.memory_view)
+    def shard_memories(self) -> List[List[int]]:
+        return [list(service.strategy.memory_view)
                 for service in self._services]
-
-    def merged_memory(self) -> List[int]:
-        merged: List[int] = []
-        for service in self._services:
-            merged.extend(service.strategy.memory_view)
-        return merged
 
     def reset(self) -> None:
         for service in self._services:

@@ -10,10 +10,11 @@ samples.  :class:`ShardedSamplingService` implements that composition:
   adversary cannot aim its over-represented identifiers at a single shard —
   each shard sees a 1/S slice of both correct and malicious traffic and runs
   the full Byzantine-tolerant strategy on it.
-* **Sampling** draws a shard uniformly and then asks that shard's strategy
-  for a sample.  Identifiers are partitioned disjointly across shards, so
-  with a balanced partition the composition stays close to uniform over the
-  whole population; per-shard occupancy is exposed for monitoring.
+* **Sampling** draws a shard uniformly among those with traffic and then
+  asks that shard's strategy for a sample.  Identifiers are partitioned
+  disjointly across shards, so with a balanced partition the composition
+  stays close to uniform over the whole population; per-shard occupancy is
+  exposed for monitoring.
 * **Batching**: a chunk is split by shard with one vectorised hash pass and
   each shard consumes its sub-chunk through the batch engine; the merged
   output preserves the arrival order of the input chunk.
@@ -232,7 +233,7 @@ class ShardedSamplingService:
             "shards": self.shards,
             "partition_hash": self._partition_hash,
             "shard_coins": self._shard_coins,
-            "loads": list(self._backend.cached_loads()),
+            "loads": self.shard_loads(),
             "services_blob": self._backend.snapshot_shards(),
         }
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
@@ -435,84 +436,60 @@ class ShardedSamplingService:
             return np.zeros(0, dtype=np.int64)
         outputs = self._backend.dispatch_finish(ticket)
         if self._autoscaler is not None:
-            # the autoscaler sees exactly the loads a synchronous dispatch
-            # of this chunk would have produced: collection is FIFO, so
-            # every chunk up to and including this one is accounted
+            # collection is FIFO and the autoscaler reads the collected
+            # loads without draining, so it sees every chunk up to and
+            # including this one and none begun after it: the loads a
+            # synchronous dispatch of this chunk would have produced
             self._autoscaler.after_batch(self._backend, size)
         return outputs
 
     def sample(self) -> Optional[int]:
-        """Return a sample from a uniformly chosen non-empty shard.
+        """Return one sample, or ``None`` before any traffic.
 
-        The draw is uniform over the shards that have received traffic —
-        drawing over all shards and probing forward from an empty one would
-        bias towards shards that follow runs of empty ones.
+        The one-draw case of :meth:`sample_many`: it consumes the same
+        shard-choice coin and raises the same ``RuntimeError`` for a shard
+        whose strategy yields no sample.
         """
-        loads = self._backend.cached_loads()
-        candidates = [shard for shard, load in enumerate(loads) if load > 0]
-        while candidates:
-            index = int(self._shard_coins.next() * len(candidates))
-            sample = self._backend.sample_shard(candidates[index])
-            if sample is not None:
-                return sample
-            # A shard with traffic but an empty memory is only possible for
-            # custom strategies; drop it and redraw among the rest.
-            del candidates[index]
-        return None
+        samples = self.sample_many(1, strict=False)
+        return samples[0] if samples else None
 
     def sample_many(self, count: int, *, strict: bool = True) -> List[int]:
         """Return ``count`` independent samples from the ensemble.
 
-        The common case — every shard with traffic holds a non-empty
-        sampling memory — takes a bulk path: one vectorised shard-choice
-        draw for the whole batch, then one grouped request per shard (per
-        worker, for process backends).  The bulk path consumes exactly the
-        coin stream of ``count`` successive :meth:`sample` calls and each
-        shard serves its draws in the same order, so the returned samples
-        are bit-identical to the per-sample loop.
+        Each sample comes from a shard drawn uniformly among those that
+        have received traffic — drawing over all shards and probing forward
+        from an empty one would bias towards shards that follow runs of
+        empty ones.  One vectorised shard-choice draw covers the batch, and
+        each chosen shard then serves its draws in order through one
+        grouped request (one round trip per worker on the worker pools),
+        so the samples equal ``count`` successive :meth:`sample` calls.
 
-        Every shard draws from its own sampling memory, so an ensemble that
-        has received no traffic (or whose custom strategies all hold empty
-        memories) cannot produce a sample.  With ``strict`` (the default)
-        that shortfall raises ``RuntimeError`` instead of silently returning
-        fewer than ``count`` samples — a short list would skew any
-        uniformity statistic computed over it.  Pass ``strict=False`` to get
-        the partial list (possibly empty) when a best-effort drain is wanted.
+        An ensemble that has received no traffic cannot produce a sample.
+        With ``strict`` (the default) that raises ``RuntimeError`` instead
+        of returning an empty list, which would skew any uniformity
+        statistic computed over it; pass ``strict=False`` to get the empty
+        list.  A shard that has traffic but yields no sample breaks the
+        strategy contract (every strategy in this library inserts while its
+        memory has room) and raises ``RuntimeError`` under either
+        ``strict``.
         """
         check_positive("count", count)
-        loads = self._backend.cached_loads()
-        candidates = [shard for shard, load in enumerate(loads) if load > 0]
-        if candidates:
-            sizes = self._backend.memory_sizes()
-            if all(sizes[shard] > 0 for shard in candidates):
-                return self._sample_many_bulk(candidates, count)
-        # Slow path: some shard saw traffic but holds an empty memory (only
-        # possible for custom strategies), where the per-sample redraw logic
-        # decides which coins are consumed.
-        samples: List[int] = []
-        for _ in range(count):
-            sample = self.sample()
-            if sample is None:
-                if strict:
-                    raise RuntimeError(
-                        f"sample_many({count}) produced only {len(samples)} "
-                        f"sample(s): every shard's sampling memory is empty "
-                        "(has the ensemble received any traffic?); pass "
-                        "strict=False to accept a partial result")
-                break
-            samples.append(sample)
-        return samples
-
-    def _sample_many_bulk(self, candidates: List[int],
-                          count: int) -> List[int]:
-        """Draw ``count`` samples with one shard-choice pass over the batch."""
+        candidates = [shard for shard, load in enumerate(self.shard_loads())
+                      if load > 0]
+        if not candidates:
+            if strict:
+                raise RuntimeError(
+                    f"sample_many({count}) produced only 0 sample(s): no "
+                    "shard has received traffic, so every sampling memory "
+                    "is empty; pass strict=False to accept an empty result")
+            return []
         coins = np.asarray(self._shard_coins.take(count))
         chosen = np.asarray(candidates, dtype=np.int64)[
             (coins * len(candidates)).astype(np.int64)]
         positions_by_shard: Dict[int, List[int]] = {}
         for position, shard in enumerate(chosen.tolist()):
             positions_by_shard.setdefault(shard, []).append(position)
-        draws = self._backend.sample_shards_many(
+        draws = self._backend.sample_many(
             {shard: len(positions)
              for shard, positions in positions_by_shard.items()})
         samples: List[int] = [0] * count
@@ -520,9 +497,9 @@ class ShardedSamplingService:
             for position, value in zip(positions, draws[shard]):
                 if value is None:
                     raise RuntimeError(
-                        f"shard {shard} returned no sample despite a "
-                        "non-empty sampling memory; its strategy breaks the "
-                        "sample() contract")
+                        f"shard {shard} has received traffic but returned "
+                        "no sample; its strategy breaks the sample() "
+                        "contract")
                 samples[position] = value
         return samples
 
@@ -553,19 +530,29 @@ class ShardedSamplingService:
     @property
     def elements_processed(self) -> int:
         """Total number of input elements processed across all shards."""
-        return sum(self._backend.cached_loads())
+        return sum(self.shard_loads())
 
     def shard_loads(self) -> List[int]:
-        """Per-shard processed-element counts (partition balance check)."""
+        """Per-shard processed-element counts (partition balance check).
+
+        Drains the pipeline, then reads the backend's collected counts; no
+        worker round trip.
+        """
+        self._backend.drain_pipeline()
         return self._backend.shard_loads()
+
+    def shard_memories(self) -> List[List[int]]:
+        """Every shard's sampling memory ``Gamma``, in shard order."""
+        return self._backend.shard_memories()
 
     def memory_sizes(self) -> List[int]:
         """Per-shard sampling-memory sizes (``|Gamma|`` of each shard)."""
-        return self._backend.memory_sizes()
+        return [len(memory) for memory in self.shard_memories()]
 
     def merged_memory(self) -> List[int]:
         """Concatenation of every shard's sampling memory ``Gamma``."""
-        return self._backend.merged_memory()
+        return [identifier for memory in self.shard_memories()
+                for identifier in memory]
 
     def reset(self) -> None:
         """Reset every shard."""
@@ -589,7 +576,7 @@ class ShardedSamplingService:
             reg.gauge("sharded.shards").set(self.shards)
             reg.gauge("sharded.backend").set(self._backend.name)
             reg.gauge("sharded.workers").set(self.placement.workers)
-            for shard, load in enumerate(self._backend.cached_loads()):
+            for shard, load in enumerate(self.shard_loads()):
                 reg.gauge(f"sharded.shard_load.{shard}").set(int(load))
             for shard, worker in enumerate(self.placement.table):
                 if worker is not None:

@@ -444,8 +444,10 @@ class SamplingServer:
     def _stats(self) -> Dict[str, Any]:
         service = self._service
         loads = [int(load) for load in service.shard_loads()]
-        sizes = [int(size) for size in service.memory_sizes()]
-        memory = service.merged_memory()
+        memories = service.shard_memories()
+        sizes = [len(shard_memory) for shard_memory in memories]
+        memory = [identifier for shard_memory in memories
+                  for identifier in shard_memory]
         uniformity = None
         if memory:
             uniformity = float(kl_divergence_to_uniform(
@@ -483,7 +485,7 @@ class SamplingServer:
             os.replace(tmp, self._state_file)
         return {
             "elements": self._ingested,
-            "total_elements": int(sum(self._service.shard_loads())),
+            "total_elements": int(self._service.elements_processed),
             "state_file": self._state_file,
             "snapshot_bytes": len(blob),
         }

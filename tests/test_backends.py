@@ -11,6 +11,7 @@ which the crash tests assert end-to-end on both pools.
 import json
 import multiprocessing
 import os
+import pickle
 import socket as socket_module
 import threading
 import time
@@ -66,9 +67,8 @@ class _MuteStrategy:
 class _MuteService:
     """Shard service that ingests traffic but never yields a sample.
 
-    Exercises the per-sample fallback of ``sample_many``: the shard has
-    loads but an empty memory, so the bulk path must step aside for the
-    redraw loop (which decides which coins are consumed).
+    A shard with loads but no sample breaks the strategy contract, which
+    ``sample_many`` reports by naming the shard.
     """
 
     def __init__(self):
@@ -89,6 +89,13 @@ class _MuteService:
 
 def _mute_factory(index, rng):
     return _MuteService()
+
+
+def _shard_one_mute_factory(index, rng):
+    if index == 1:
+        return _MuteService()
+    return KnowledgeFreeShardFactory(10, sketch_width=32,
+                                     sketch_depth=4)(index, rng)
 
 
 class _SleepyService:
@@ -204,12 +211,6 @@ class TestBitIdentity:
             assert serial.sample() == parallel.sample()
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_worker_loads_agree_with_parent_cache(self, backend):
-        with _service(backend, workers=2) as parallel:
-            parallel.on_receive_batch(STREAM.identifiers)
-            assert parallel.backend.cached_loads() == parallel.shard_loads()
-
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_reset_keeps_backends_aligned(self, backend):
         serial = _service("serial", seed=7)
         with _service(backend, seed=7, workers=2) as parallel:
@@ -268,13 +269,118 @@ class TestBulkSampleMany:
             assert bulk.sample_many(137) == looped
 
     @pytest.mark.parametrize("backend", ["serial"] + PARALLEL_BACKENDS)
-    def test_empty_memory_fallback(self, backend):
-        with ShardedSamplingService(2, _mute_factory, random_state=5,
-                                    backend=backend) as service:
-            service.on_receive_batch(STREAM.identifiers[:100])
+    def test_no_traffic_yields_no_sample(self, backend):
+        with _service(backend, seed=41) as service:
             with pytest.raises(RuntimeError, match="0 sample"):
                 service.sample_many(5)
             assert service.sample_many(5, strict=False) == []
+            assert service.sample() is None
+
+    @pytest.mark.parametrize("backend", ["serial"] + PARALLEL_BACKENDS)
+    def test_mute_shard_raises_naming_it(self, backend):
+        with ShardedSamplingService(2, _shard_one_mute_factory,
+                                    random_state=5,
+                                    backend=backend) as service:
+            service.on_receive_batch(STREAM.identifiers[:100])
+            assert all(load > 0 for load in service.shard_loads())
+            for strict in (True, False):
+                with pytest.raises(RuntimeError,
+                                   match="shard 1 has received traffic"):
+                    service.sample_many(64, strict=strict)
+
+
+# --------------------------------------------------------------------- #
+# One load path: the parent's collected count, equal to serial's
+# --------------------------------------------------------------------- #
+def _worker_loads(service):
+    """Per-shard ``elements_processed`` of the services the workers hold."""
+    states = pickle.loads(service.backend.snapshot_shards())
+    return [states[shard].elements_processed
+            for shard in range(service.shards)]
+
+
+class TestOneLoadPath:
+    """Pool ``shard_loads()`` equals serial's, whatever happened before."""
+
+    @staticmethod
+    def _assert_loads_match(serial, service):
+        assert service.shard_loads() == serial.shard_loads()
+        assert _worker_loads(service) == serial.shard_loads()
+        assert service.elements_processed == serial.elements_processed
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_after_ingest(self, backend):
+        serial = _service("serial", seed=29)
+        with _service(backend, seed=29, workers=2) as service:
+            for start in range(0, 6000, 1500):
+                chunk = STREAM.identifiers[start:start + 1500]
+                serial.on_receive_batch(chunk)
+                service.on_receive_batch(chunk)
+                self._assert_loads_match(serial, service)
+
+    def test_backend_count_excludes_a_chunk_in_flight(self):
+        with _service("process", seed=29, workers=2) as service:
+            service.on_receive_batch(STREAM.identifiers[:1000])
+            collected = service.backend.shard_loads()
+            handle = service.begin_batch(STREAM.identifiers[1000:2000])
+            # the backend read neither drains nor asks a worker ...
+            assert service.backend.shard_loads() == collected
+            # ... the service's read drains first
+            assert sum(service.shard_loads()) == 2000
+            service.finish_batch(handle)
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_after_reset(self, backend):
+        serial = _service("serial", seed=29)
+        with _service(backend, seed=29, workers=2) as service:
+            for target in (serial, service):
+                target.on_receive_batch(STREAM.identifiers[:3000])
+                target.reset()
+            self._assert_loads_match(serial, service)
+            assert service.shard_loads() == [0, 0, 0, 0]
+            for target in (serial, service):
+                target.on_receive_batch(STREAM.identifiers[3000:4000])
+            self._assert_loads_match(serial, service)
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_after_snapshot_and_restore_onto_another_backend(self, backend):
+        serial = _service("serial", seed=29)
+        serial.on_receive_batch(STREAM.identifiers)
+        other = "socket" if backend == "process" else "process"
+        with _service(backend, seed=29, workers=2) as service:
+            service.on_receive_batch(STREAM.identifiers[:5000])
+            blob = service.snapshot()
+        with ShardedSamplingService.restore(blob, backend=other,
+                                            workers=3) as restored:
+            restored.on_receive_batch(STREAM.identifiers[5000:])
+            self._assert_loads_match(serial, restored)
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_after_live_migration(self, backend):
+        serial = _service("serial", seed=29)
+        with _service(backend, seed=29, workers=2) as service:
+            for target in (serial, service):
+                target.on_receive_batch(STREAM.identifiers[:4000])
+            service.migrate_shard(0, 1)
+            service.remove_worker(0)
+            self._assert_loads_match(serial, service)
+            for target in (serial, service):
+                target.on_receive_batch(STREAM.identifiers[4000:])
+            self._assert_loads_match(serial, service)
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_after_kill_nine_recovery(self, backend):
+        serial = _service("serial", seed=29)
+        with _service(backend, seed=29, workers=2) as service:
+            for target in (serial, service):
+                target.on_receive_batch(STREAM.identifiers[:4000])
+            victim = service.backend._processes[1]
+            victim.kill()
+            victim.join(timeout=5.0)
+            for target in (serial, service):
+                target.on_receive_batch(STREAM.identifiers[4000:])
+            assert service.backend.respawns == 1
+            self._assert_loads_match(serial, service)
 
 
 # --------------------------------------------------------------------- #
@@ -398,8 +504,10 @@ class TestWorkerFailures:
                 service.on_receive_batch(STREAM.identifiers[:64])
             with pytest.raises(WorkerCrashError, match="desynchronised"):
                 service.on_receive_batch(STREAM.identifiers[:32])
+            # loads are the parent's own count; the memory query is the
+            # inspection that still asks the workers
             with pytest.raises(WorkerCrashError, match="desynchronised"):
-                service.shard_loads()
+                service.merged_memory()
         finally:
             service.close()
 
@@ -456,9 +564,9 @@ class TestSocketSupervision:
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_stats_proxies_serial_identical_after_recovery(self, backend):
-        # every inspection proxy — shard loads, per-shard memory sizes and
-        # the merged memory — answers from the *rebuilt* workers, so a
-        # mid-run kill must leave them serial-identical, repeatedly
+        # the memory proxies answer from the *rebuilt* workers and the
+        # loads from the parent's count, so a mid-run kill must leave them
+        # serial-identical, repeatedly
         serial = _service("serial", seed=23)
         ids = np.asarray(STREAM.identifiers, dtype=np.int64)
         with _service(backend, seed=23, workers=2) as service:
@@ -521,7 +629,7 @@ class TestSocketSupervision:
                         serial.dispatch(chunk, chunk % 4),
                         backend.dispatch(chunk, chunk % 4))
                 assert backend.respawns >= 1
-                assert serial.merged_memory() == backend.merged_memory()
+                assert serial.shard_memories() == backend.shard_memories()
             finally:
                 backend.close()
 

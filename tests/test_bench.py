@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.bench import bench_json_dir, summarise_snapshot, write_bench_json
-from repro.bench.compare import compare_records, load_record, main
+from repro.bench.compare import (
+    BYTES_ALLOWANCE,
+    compare_records,
+    load_record,
+    main,
+)
 from repro.telemetry import MetricsRegistry
 
 BASELINE = {
@@ -69,6 +74,33 @@ class TestCompareRecords:
         current = _current()
         current["tiers"]["sharded"]["seconds"] = 1e9
         assert compare_records(current, BASELINE) == []
+
+    def test_grown_bytes_fail(self):
+        baseline = {"tiers": {"process": {"migration_bytes": 100_000}}}
+        current = {"tiers": {"process": {"migration_bytes": 110_000}}}
+        failures = compare_records(current, baseline)
+        assert len(failures) == 1
+        assert "migration_bytes grew 10,000 bytes" in failures[0]
+
+    def test_bytes_within_the_allowance_and_shrunk_bytes_pass(self):
+        baseline = {"tiers": {"serial": {"snapshot_bytes": 100_000}}}
+        for value in (100_000 * (1 + BYTES_ALLOWANCE), 100_000, 40_000):
+            current = {"tiers": {"serial": {"snapshot_bytes": value}}}
+            assert compare_records(current, baseline) == []
+
+    def test_bytes_gate_ignores_the_throughput_tolerance(self):
+        baseline = {"tiers": {"serial": {"snapshot_bytes": 100_000}}}
+        current = {"tiers": {"serial": {"snapshot_bytes": 120_000}}}
+        assert compare_records(current, baseline, tolerance=0.5) != []
+
+    def test_missing_bytes_metric_fails_unless_allowed(self):
+        baseline = {"tiers": {"socket": {"elements_per_second": 300_000,
+                                         "migration_bytes": 60_000}}}
+        current = {"tiers": {"socket": {"elements_per_second": 300_000}}}
+        failures = compare_records(current, baseline)
+        assert len(failures) == 1
+        assert "migration_bytes" in failures[0]
+        assert compare_records(current, baseline, allow_missing=True) == []
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -150,6 +182,23 @@ class TestCompareCli:
         write_bench_json(str(baseline), "engine", BASELINE["tiers"])
         assert main([str(tmp_path / "missing.json"), str(baseline)]) == 2
         assert "bench-compare" in capsys.readouterr().err
+
+    def test_bytes_gate_on_the_command_line(self, tmp_path, capsys):
+        current = tmp_path / "current.json"
+        baseline = tmp_path / "baseline.json"
+        write_bench_json(str(baseline), "autoscale",
+                         {"process": {"migration_bytes": 50_000}})
+        write_bench_json(str(current), "autoscale",
+                         {"process": {"migration_bytes": 49_000}})
+        assert main([str(current), str(baseline)]) == 0
+        assert "1 byte metric(s)" in capsys.readouterr().out
+        write_bench_json(str(current), "autoscale",
+                         {"process": {"migration_bytes": 60_000}})
+        assert main([str(current), str(baseline)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        write_bench_json(str(current), "autoscale", {"process": {}})
+        assert main([str(current), str(baseline)]) == 1
+        assert main([str(current), str(baseline), "--allow-missing"]) == 0
 
     def test_allow_missing_flag(self, tmp_path):
         current = tmp_path / "current.json"

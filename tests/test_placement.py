@@ -23,6 +23,7 @@ from repro.engine import (
     KnowledgeFreeShardFactory,
     ShardedSamplingService,
     ShardPlacement,
+    run_stream,
 )
 from repro.engine.backends.base import serve_shard_command
 from repro.streams import zipf_stream
@@ -224,7 +225,7 @@ class TestAutoscalePolicy:
             shards = 1
             evaluated = 0
 
-            def cached_loads(self):
+            def shard_loads(self):
                 _Probe.evaluated += 1
                 return [0]
 
@@ -270,6 +271,38 @@ class TestLiveMigration:
             assert service.merged_memory() == ref_memory
             assert service.shard_loads() == ref_loads
             assert service.placement.migrations >= 2
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_remove_worker_ignores_a_chunk_in_flight(self, backend):
+        """Retiring a worker picks every target from the loads at entry.
+
+        Its first migration drains the pipeline; the chunk collected then
+        must not steer where its second shard goes, or a pipelined run
+        would scale down differently from a synchronous one.
+        """
+        tables = []
+        for pipelined in (True, False):
+            with _service(backend, shards=6, workers=3) as service:
+                by_shard = {shard: [] for shard in range(6)}
+                for identifier in range(20_000):
+                    by_shard[service.shard_of(identifier)].append(identifier)
+                # workers own shards {0, 3}, {1, 4} and {2, 5}: worker 0
+                # carries 100 and worker 1 150, so retiring worker 2 moves
+                # shard 2 (100) to worker 0 and then shard 5 to worker 1 ...
+                first = np.array(by_shard[0][:100] + by_shard[1][:150]
+                                 + by_shard[2][:100] + by_shard[5][:10])
+                # ... unless this chunk, still in flight, were counted
+                second = np.array(by_shard[1][150:350])
+                service.on_receive_batch(first)
+                if pipelined:
+                    handle = service.begin_batch(second)
+                    service.remove_worker(2)
+                    service.finish_batch(handle)
+                else:
+                    service.remove_worker(2)
+                    service.on_receive_batch(second)
+                tables.append(service.placement.table)
+        assert tables[0] == tables[1] == [0, 1, 0, 0, 1, 1]
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_migrate_to_owner_is_a_noop(self, backend):
@@ -404,6 +437,49 @@ class TestAutoscaling:
             assert service.sample_many(40, strict=False) == ref_samples
             assert service.merged_memory() == ref_memory
 
+    @pytest.mark.parametrize("batch_size, policy", [
+        (1_500, AUTOSCALE),
+        (512, {"min_workers": 1, "max_workers": 3,
+               "target_load_per_worker": 2_666, "check_every": 1_200}),
+    ], ids=["chunks-1500", "chunks-512"])
+    def test_schedule_is_the_same_pipelined_or_not(self, monkeypatch,
+                                                   batch_size, policy):
+        """Every evaluation reads the same loads in every drive mode.
+
+        A pipelined pool has the next chunk in flight when a batch is
+        checked, and a migration drains it; neither may show up in the
+        loads the policy reads.
+        """
+        schedule = []
+        evaluate = Autoscaler.evaluate
+
+        def recording(scaler, backend, loads):
+            schedule.append((tuple(loads), backend.placement.workers))
+            evaluate(scaler, backend, loads)
+
+        monkeypatch.setattr(Autoscaler, "evaluate", recording)
+        runs = {}
+        for backend, pipeline in [("process", True), ("process", False),
+                                  ("socket", False)]:
+            schedule.clear()
+            with _service(backend, workers=1, autoscale=policy) as service:
+                busy = run_stream(service, IDS, batch_size=batch_size,
+                                  pipeline=pipeline)
+                # the crowd passes: loads reset, the pool scales back down
+                service.reset()
+                quiet = run_stream(service, IDS[:3 * batch_size],
+                                   batch_size=batch_size, pipeline=pipeline)
+                runs[backend, pipeline] = (
+                    list(schedule), service.placement.table,
+                    service.autoscaler.stats(), busy.outputs.tolist(),
+                    quiet.outputs.tolist(), service.merged_memory())
+        reference = runs["socket", False]
+        assert max(workers for _, workers in reference[0]) == 3
+        assert reference[2]["scale_downs"] > 0
+        for mode, run in runs.items():
+            assert run[0] == reference[0], mode
+            assert run[1:] == reference[1:], mode
+
     def test_autoscale_is_inert_on_the_serial_backend(self):
         service = _service("serial", autoscale=AUTOSCALE)
         service.on_receive_batch(IDS)
@@ -497,7 +573,7 @@ class TestMigrationCommands:
             assert np.array_equal(moved[shard], expected[shard])
         assert serve_shard_command(target, "memory", None)[0] \
             == serve_shard_command(twin, "memory", None)[0]
-        assert serve_shard_command(target, "loads", None)[0] == 1200
+        assert target[0].elements_processed == 1200
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ValueError, match="unknown worker command"):
