@@ -14,6 +14,19 @@ to reproduce the full-size experiments.
 import pytest
 
 
+@pytest.fixture(scope="session", autouse=True)
+def chunk_kernel_built():
+    """Build (or load) the compiled chunk kernel before anything is timed.
+
+    The first chunk of a fresh checkout would otherwise compile
+    ``chunk_kernel.c`` (~0.2 s) inside the first timed run; fork-started
+    workers inherit the loaded kernel.
+    """
+    from repro.core import chunk_kernel
+
+    chunk_kernel.load()
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "figure(name): marks a benchmark as regenerating a paper figure"

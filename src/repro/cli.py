@@ -98,7 +98,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, *,
 
 
 def _engine_options(arguments: argparse.Namespace) -> Dict[str, object]:
-    """The engine flags that were given, as engine keyword arguments."""
+    """The engine flags that were given, as ``EngineSpec`` fields."""
     options: Dict[str, object] = {
         "backend": arguments.backend,
         "workers": arguments.workers,
@@ -122,9 +122,25 @@ def _engine_options(arguments: argparse.Namespace) -> Dict[str, object]:
             if value is not None}
 
 
+def _service_options(arguments: argparse.Namespace) -> Dict[str, object]:
+    """The engine flags as :class:`ShardedSamplingService` keywords, checked
+    before any work starts, with the worker token read from its file."""
+    from repro.engine.backends import check_backend_options, load_auth_token
+
+    options = _engine_options(arguments)
+    token_file = options.pop("auth_token_file", None)
+    check_backend_options(options["backend"], workers=options.get("workers"),
+                          endpoints=options.get("endpoints"),
+                          auth_token=token_file)
+    if token_file is not None:
+        options["auth_token"] = load_auth_token(token_file)
+    return options
+
+
 def _cmd_run(arguments: argparse.Namespace) -> None:
     """Execute a declarative scenario spec through the ScenarioRunner."""
     from repro.scenarios import (
+        ScenarioError,
         ScenarioRunner,
         ScenarioSpec,
         available_components,
@@ -152,7 +168,10 @@ def _cmd_run(arguments: argparse.Namespace) -> None:
         # replace() re-runs the engine section's validation, so an override
         # that contradicts the spec (e.g. --workers on a serial backend)
         # fails with the same error a hand-written spec would
-        overrides["engine"] = replace(spec.engine, **engine)
+        try:
+            overrides["engine"] = replace(spec.engine, **engine)
+        except ScenarioError as error:
+            raise SystemExit(f"repro run: {error}") from None
     if overrides:
         spec = replace(spec, **overrides)
     with _telemetry_context(arguments.telemetry_out is not None) as registry:
@@ -218,6 +237,10 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
     )
     from repro.streams import zipf_stream
 
+    try:
+        engine = _service_options(arguments)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro throughput: {error}") from None
     stream = zipf_stream(arguments.stream_size, arguments.population_size,
                          alpha=arguments.alpha, random_state=arguments.seed)
 
@@ -242,7 +265,7 @@ def _cmd_throughput(arguments: argparse.Namespace) -> None:
             sketch_width=arguments.sketch_width,
             sketch_depth=arguments.sketch_depth,
             random_state=arguments.seed,
-            **_engine_options(arguments),
+            **engine,
         )
         try:
             sharded = run_stream(sharded_service, stream,
@@ -355,13 +378,10 @@ def _cmd_serve(arguments: argparse.Namespace) -> None:
 
     try:
         host, port = parse_endpoint(arguments.listen, allow_port_zero=True)
-    except ValueError as error:
-        raise SystemExit(f"repro serve: {error}") from None
-    try:
         token = load_auth_token(arguments.auth_token_file)
+        build_kwargs = _service_options(arguments)
     except (OSError, ValueError) as error:
         raise SystemExit(f"repro serve: {error}") from None
-    build_kwargs = _engine_options(arguments)
     shards = build_kwargs.pop("shards")
     with _telemetry_context(arguments.telemetry_out is not None) as registry:
         state_file = arguments.state_file

@@ -3,7 +3,9 @@
 * :mod:`repro.engine.backends.base` — the :class:`ExecutionBackend`
   contract, the supervised :class:`WorkerPoolBackend` (requests, crash
   re-spawn via snapshot + bounded replay, teardown), the worker session
-  loop and the :func:`make_backend` resolver;
+  loop, the :func:`make_backend` resolver and
+  :func:`check_backend_options`, the one statement of which backend takes
+  which option;
 * :mod:`repro.engine.backends.serial` — every shard in the calling process
   (the original behaviour, bit-identical);
 * :mod:`repro.engine.backends.process` — shard groups in forked worker
@@ -25,11 +27,13 @@ from repro.engine.backends.base import (
     BACKENDS,
     AuthenticationError,
     BackendError,
+    BackendOptionError,
     DispatchTicket,
     ExecutionBackend,
     WorkerCrashError,
     WorkerPoolBackend,
     WorkerTimeoutError,
+    check_backend_options,
     make_backend,
 )
 from repro.engine.placement import ShardPlacement
@@ -44,6 +48,7 @@ __all__ = [
     "BACKENDS",
     "AuthenticationError",
     "BackendError",
+    "BackendOptionError",
     "DispatchTicket",
     "ExecutionBackend",
     "ProcessBackend",
@@ -56,6 +61,7 @@ __all__ = [
     "WorkerPoolBackend",
     "WorkerServer",
     "WorkerTimeoutError",
+    "check_backend_options",
     "load_auth_token",
     "make_backend",
     "parse_endpoint",

@@ -51,11 +51,11 @@ ShardFactory = Callable[[int, np.random.Generator], object]
 #: The backend names :func:`make_backend` resolves.
 BACKENDS = ("serial", "process", "socket")
 
-#: Deadline applied to ordinary worker requests when no ``worker_timeout``
-#: was configured.  Startup keeps its own (shorter) deadline; this one only
-#: has to catch a worker that is genuinely hung, so it is generous enough
-#: that no legitimate chunk ever trips it — but a wedged worker surfaces as
-#: :class:`WorkerTimeoutError` instead of blocking the parent forever.
+#: Deadline applied to ordinary worker requests.  Startup keeps its own
+#: (shorter) deadline; this one only has to catch a worker that is
+#: genuinely hung, so it is generous enough that no legitimate chunk ever
+#: trips it — but a wedged worker surfaces as :class:`WorkerTimeoutError`
+#: instead of blocking the parent forever.
 DEFAULT_REQUEST_TIMEOUT = 300.0
 
 #: Seconds granted to a worker to build its shard services and report ready.
@@ -94,6 +94,60 @@ class WorkerTimeoutError(BackendError):
 
 class AuthenticationError(BackendError):
     """A socket worker endpoint rejected the shared auth token."""
+
+
+class BackendOptionError(ValueError):
+    """A backend option broke a rule; ``option`` names the keyword at fault
+    (``workers``, ``endpoints`` or ``auth_token``)."""
+
+    def __init__(self, option: str, message: str) -> None:
+        super().__init__(message)
+        self.option = option
+
+
+def check_backend_options(name: str, *, workers: Optional[int] = None,
+                          endpoints: Optional[Sequence] = None,
+                          auth_token: Optional[object] = None) -> None:
+    """The one statement of which backend takes which option.
+
+    The serial backend takes no ``workers``; ``workers`` is positive; only
+    the socket backend takes ``endpoints`` or an ``auth_token``;
+    ``endpoints`` is a non-empty list of ``host:port`` strings and needs an
+    ``auth_token`` (only its presence matters, so a caller may pass the
+    name of the token's file).  Raises :class:`BackendOptionError`.
+    """
+    if workers is not None:
+        if name == "serial":
+            raise BackendOptionError(
+                "workers", "the serial backend runs in-process and takes no "
+                "workers; choose the process or socket backend to "
+                "parallelise")
+        if workers <= 0:
+            raise BackendOptionError(
+                "workers", f"workers must be positive, got {workers}")
+    if name != "socket":
+        for option, value in (("endpoints", endpoints),
+                              ("auth_token", auth_token)):
+            if value is not None:
+                raise BackendOptionError(
+                    option, f"the {name!r} backend runs on this host and "
+                    "takes no endpoints or auth token; choose the socket "
+                    "backend for network-transparent workers")
+    if endpoints is not None:
+        if not endpoints:
+            raise BackendOptionError(
+                "endpoints",
+                "endpoints must be a non-empty list of 'host:port' strings")
+        for endpoint in endpoints:
+            try:
+                wire.parse_endpoint(endpoint)
+            except ValueError as error:
+                raise BackendOptionError("endpoints", str(error)) from None
+        if auth_token is None:
+            raise BackendOptionError(
+                "auth_token", "remote socket endpoints require the auth "
+                "token the workers were started with (`repro worker serve "
+                "--auth-token-file`)")
 
 
 def serve_shard_command(services: Dict[int, object], command: str, payload):
@@ -497,31 +551,23 @@ class WorkerPoolBackend(ExecutionBackend):
     ----------
     workers:
         Number of workers; defaults to ``min(shards, cpu_count)`` and is
-        clamped to ``shards`` (an idle worker would own no shard).
-    worker_timeout:
-        Optional per-request timeout in seconds; ``None`` (default) applies
-        the generous :data:`DEFAULT_REQUEST_TIMEOUT` so a live-but-hung
-        worker cannot block the parent forever.
+        clamped to ``shards`` (an idle worker would own no shard).  Every
+        request runs under :data:`DEFAULT_REQUEST_TIMEOUT`, so a
+        live-but-hung worker cannot block the parent forever.
     """
 
     supports_scaling = True
 
     def __init__(self, shards: int, shard_factory: ShardFactory,
                  shard_rngs: Sequence[np.random.Generator], *,
-                 workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None) -> None:
+                 workers: Optional[int] = None) -> None:
         super().__init__(shards, shard_factory, shard_rngs)
+        check_backend_options(self.name, workers=workers)
         if workers is None:
             workers = min(self.shards, multiprocessing.cpu_count() or 1)
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if worker_timeout is not None and worker_timeout <= 0:
-            raise ValueError(
-                f"worker_timeout must be positive, got {worker_timeout}")
         for _ in range(min(int(workers), self.shards)):
             self._placement.add_worker()
         self._placement.assign_round_robin()
-        self.worker_timeout = worker_timeout
         self._shard_factory = shard_factory
         self._shard_rngs = list(shard_rngs)
         self._loads = [0] * self.shards
@@ -677,10 +723,6 @@ class WorkerPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Requests
     # ------------------------------------------------------------------ #
-    def _request_timeout(self) -> float:
-        return (self.worker_timeout if self.worker_timeout is not None
-                else DEFAULT_REQUEST_TIMEOUT)
-
     def _check_usable(self) -> None:
         if self._closed:
             raise WorkerCrashError(
@@ -716,14 +758,14 @@ class WorkerPoolBackend(ExecutionBackend):
         try:
             wire.send_raw_frame(
                 self._channels[worker], blob,
-                deadline=time.monotonic() + self._request_timeout())
+                deadline=time.monotonic() + DEFAULT_REQUEST_TIMEOUT)
         except wire.DeadlineExceeded:
             # a live worker that stopped draining its channel is hung, not
             # dead: surface it like a reply timeout instead of re-launching
             self._broken = True
             raise WorkerTimeoutError(
                 f"worker {worker} did not accept a {command!r} request "
-                f"within {self._request_timeout():.3g}s; the backend is now "
+                f"within {DEFAULT_REQUEST_TIMEOUT:.3g}s; the backend is now "
                 "unusable — build a new service") from None
         except OSError as error:
             # recovery re-sends every in-flight request, this one included
@@ -737,7 +779,7 @@ class WorkerPoolBackend(ExecutionBackend):
         """Collect the reply of the worker's oldest in-flight request."""
         self._check_usable()
         request, logical, metric, posted = self._inflight[worker][0]
-        timeout = self._request_timeout()
+        timeout = DEFAULT_REQUEST_TIMEOUT
         crashes = 0
         while True:
             try:
@@ -902,7 +944,7 @@ class WorkerPoolBackend(ExecutionBackend):
     def _replay(self, worker: int) -> None:
         """Replay the journal on a re-launched worker, then re-send."""
         channel = self._channels[worker]
-        span = self._request_timeout()
+        span = DEFAULT_REQUEST_TIMEOUT
         for request in self._journals[worker]:
             deadline = time.monotonic() + span
             wire.send_frame(channel, request, deadline=deadline)
@@ -1195,10 +1237,8 @@ class WorkerPoolBackend(ExecutionBackend):
 def make_backend(name: str, shards: int, shard_factory: ShardFactory,
                  shard_rngs: Sequence[np.random.Generator], *,
                  workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None,
                  endpoints: Optional[Sequence[str]] = None,
-                 auth_token: Optional[object] = None,
-                 auth_token_file: Optional[str] = None
+                 auth_token: Optional[object] = None
                  ) -> ExecutionBackend:
     """Build the execution backend registered under ``name``.
 
@@ -1207,42 +1247,32 @@ def make_backend(name: str, shards: int, shard_factory: ShardFactory,
     name:
         One of :data:`BACKENDS` (``"serial"``, ``"process"`` or
         ``"socket"``).
-    workers, worker_timeout:
-        Worker-pool tuning of the process and socket backends; rejected for
-        backends that do not take them.
-    endpoints, auth_token, auth_token_file:
+    workers:
+        Worker count of the process and socket backends.
+    endpoints, auth_token:
         Socket-backend transport: ``host:port`` worker endpoints (already
         running ``repro worker serve`` instances) and the shared auth token
-        (directly, or read from a file).  Without endpoints the socket
-        backend spawns supervised localhost workers itself.
+        itself (the CLI and scenario specs read it from the file they
+        name).  Without endpoints the socket backend spawns supervised
+        localhost workers itself.
+
+    :func:`check_backend_options` states which backend takes which option.
     """
     from repro.engine.backends.process import ProcessBackend
     from repro.engine.backends.serial import SerialBackend
 
-    if name != "socket" and (endpoints is not None or auth_token is not None
-                             or auth_token_file is not None):
+    if name not in BACKENDS:
         raise ValueError(
-            f"the {name!r} backend runs on this host and takes no "
-            "endpoints/auth token; choose backend='socket' for "
-            "network-transparent workers")
+            f"unknown execution backend {name!r}; available: "
+            f"{', '.join(BACKENDS)}")
+    check_backend_options(name, workers=workers, endpoints=endpoints,
+                          auth_token=auth_token)
     if name == "serial":
-        if workers is not None or worker_timeout is not None:
-            raise ValueError(
-                "the serial backend runs in-process and takes no 'workers' "
-                "or 'worker_timeout'; choose backend='process' to "
-                "parallelise")
         return SerialBackend(shards, shard_factory, shard_rngs)
     if name == "process":
         return ProcessBackend(shards, shard_factory, shard_rngs,
-                              workers=workers, worker_timeout=worker_timeout)
-    if name == "socket":
-        from repro.engine.backends.socket import SocketBackend
+                              workers=workers)
+    from repro.engine.backends.socket import SocketBackend
 
-        if auth_token is None and auth_token_file is not None:
-            auth_token = wire.load_auth_token(auth_token_file)
-        return SocketBackend(shards, shard_factory, shard_rngs,
-                             workers=workers, worker_timeout=worker_timeout,
-                             endpoints=endpoints, auth_token=auth_token)
-    raise ValueError(
-        f"unknown execution backend {name!r}; available: "
-        f"{', '.join(BACKENDS)}")
+    return SocketBackend(shards, shard_factory, shard_rngs, workers=workers,
+                         endpoints=endpoints, auth_token=auth_token)

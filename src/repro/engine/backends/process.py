@@ -81,10 +81,6 @@ class ProcessBackend(WorkerPoolBackend):
     workers:
         Number of worker processes; defaults to ``min(shards, cpu_count)``
         and is clamped to ``shards`` (an idle worker would own no shard).
-    worker_timeout:
-        Optional per-request timeout in seconds; ``None`` (default) applies
-        the generous :data:`~repro.engine.backends.base.DEFAULT_REQUEST_TIMEOUT`
-        so a live-but-hung worker cannot block the parent forever.
     """
 
     name = "process"
@@ -95,10 +91,8 @@ class ProcessBackend(WorkerPoolBackend):
 
     def __init__(self, shards: int, shard_factory: ShardFactory,
                  shard_rngs: Sequence[np.random.Generator], *,
-                 workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None) -> None:
-        super().__init__(shards, shard_factory, shard_rngs, workers=workers,
-                         worker_timeout=worker_timeout)
+                 workers: Optional[int] = None) -> None:
+        super().__init__(shards, shard_factory, shard_rngs, workers=workers)
         # hosts without POSIX shared memory run the pickled-frame path
         self._use_shm = _shm.shared_memory_available()
         #: Per-worker ring, kept across re-launches: a re-forked worker

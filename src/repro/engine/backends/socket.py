@@ -20,10 +20,11 @@ single pickle frame.
 
 Two deployment modes:
 
-* **local** (no ``endpoints``): the backend spawns one supervised localhost
-  worker process per worker slot, generates an ephemeral auth token, and
-  re-spawns a worker process that dies.  This is the zero-configuration
-  mode the tests, benchmarks and CI smoke runs use.
+* **local** (no ``endpoints``): the backend spawns one supervised worker
+  process per worker slot, each running a :class:`WorkerServer` on a
+  loopback port, generates an ephemeral auth token, and re-spawns a worker
+  process that dies.  This is the zero-configuration mode the tests,
+  benchmarks and CI smoke runs use.
 * **remote** (``endpoints`` given): the backend connects to already-running
   ``repro worker serve`` instances (round-robin over the endpoint list) and
   authenticates with the shared token.  On a dropped connection it
@@ -49,11 +50,12 @@ from repro.engine.backends.base import (
     ShardFactory,
     WorkerCrashError,
     WorkerPoolBackend,
+    check_backend_options,
     reset_signal_handlers,
     serve_session,
 )
 
-__all__ = ["SocketBackend", "WorkerServer", "serve_worker_connection"]
+__all__ = ["SocketBackend", "WorkerServer"]
 
 #: Seconds granted to the TCP connect + auth handshake.
 _CONNECT_TIMEOUT = 10.0
@@ -65,37 +67,9 @@ _LOCAL_SPAWN_TIMEOUT = 30.0
 # --------------------------------------------------------------------- #
 # Worker (server) side
 # --------------------------------------------------------------------- #
-def serve_worker_connection(connection: socket.socket,
-                            token: bytes) -> None:
-    """Serve one authenticated worker session until the peer disconnects.
-
-    The session opens with the server side of the mutual handshake (raw
-    frames only; nothing is unpickled before the peer proves token
-    knowledge, and an unauthenticated peer learns nothing, not even an
-    error), then runs :func:`~repro.engine.backends.base.serve_session`.
-    """
-    deadline = time.monotonic() + wire.HANDSHAKE_TIMEOUT
-    try:
-        client_nonce = wire.recv_raw_frame(
-            connection, deadline=deadline, limit=wire.MAX_HANDSHAKE_FRAME)
-        challenge = wire.server_challenge(token, client_nonce)
-        if challenge is None:
-            return
-        server_nonce, frame = challenge
-        wire.send_raw_frame(connection, frame, deadline=deadline)
-        client_mac = wire.recv_raw_frame(
-            connection, deadline=deadline, limit=wire.MAX_HANDSHAKE_FRAME)
-        if not wire.server_verify(token, client_nonce, server_nonce,
-                                  client_mac):
-            return
-        wire.send_frame(connection, (True, "ok"))
-    except (wire.ConnectionLost, wire.DeadlineExceeded, OSError):
-        return
-    serve_session(connection)
-
-
 class WorkerServer:
-    """TCP server hosting shard workers (the ``repro worker serve`` core).
+    """TCP server hosting shard workers: ``repro worker serve`` and each
+    local worker process of a :class:`SocketBackend` run one.
 
     Each authenticated connection becomes one shard-group worker, served in
     its own daemon thread, so one server can host every worker of a backend
@@ -178,13 +152,34 @@ class WorkerServer:
                 pass
 
     def _serve_connection(self, connection: socket.socket) -> None:
-        try:
-            serve_worker_connection(connection, self._token)
-        finally:
+        """Serve one authenticated worker session until the peer disconnects.
+
+        The session opens with the server side of the mutual handshake (raw
+        frames only; nothing is unpickled before the peer proves token
+        knowledge, and an unauthenticated peer learns nothing, not even an
+        error), then runs :func:`~repro.engine.backends.base.serve_session`.
+        """
+        deadline = time.monotonic() + wire.HANDSHAKE_TIMEOUT
+        with connection:
             try:
-                connection.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+                client_nonce = wire.recv_raw_frame(
+                    connection, deadline=deadline,
+                    limit=wire.MAX_HANDSHAKE_FRAME)
+                challenge = wire.server_challenge(self._token, client_nonce)
+                if challenge is None:
+                    return
+                server_nonce, frame = challenge
+                wire.send_raw_frame(connection, frame, deadline=deadline)
+                client_mac = wire.recv_raw_frame(
+                    connection, deadline=deadline,
+                    limit=wire.MAX_HANDSHAKE_FRAME)
+                if not wire.server_verify(self._token, client_nonce,
+                                          server_nonce, client_mac):
+                    return
+                wire.send_frame(connection, (True, "ok"))
+            except (wire.ConnectionLost, wire.DeadlineExceeded, OSError):
+                return
+            serve_session(connection)
 
     def close(self) -> None:
         """Stop accepting connections and release the listening socket.
@@ -241,28 +236,18 @@ class WorkerServer:
         self.close()
 
 
-def _local_worker_main(host: str, token: bytes, report) -> None:
+def _local_worker_main(token: bytes, report) -> None:
     """Entry point of one supervised local worker process.
 
-    Binds an ephemeral port, reports it to the parent through ``report``,
-    then serves one connection at a time — inline, so killing the process
-    kills the worker (which is exactly what the supervisor's re-spawn tests
-    rely on).
+    Serves on an ephemeral loopback port and reports its address through
+    ``report``; killing the process kills the worker, which is what the
+    supervisor's re-spawn tests rely on.
     """
     reset_signal_handlers()
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, 0))
-    listener.listen(1)
-    report.send(listener.getsockname()[:2])
+    server = WorkerServer("127.0.0.1", 0, token)
+    report.send(server.address)
     report.close()
-    while True:
-        connection, _ = listener.accept()
-        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            serve_worker_connection(connection, token)
-        finally:
-            connection.close()
+    server.serve_forever()
 
 
 # --------------------------------------------------------------------- #
@@ -276,20 +261,14 @@ class SocketBackend(WorkerPoolBackend):
     workers:
         Number of worker connections; defaults to ``min(shards, cpu_count)``
         and is clamped to ``shards``.
-    worker_timeout:
-        Optional per-request timeout in seconds; ``None`` (default) applies
-        :data:`~repro.engine.backends.base.DEFAULT_REQUEST_TIMEOUT` so a
-        hung worker surfaces as :class:`WorkerTimeoutError`.
     endpoints:
         ``host:port`` strings (or ``(host, port)`` pairs) of running
         ``repro worker serve`` instances, assigned round-robin to workers.
-        ``None`` (default) spawns supervised localhost worker processes.
+        ``None`` (default) spawns supervised worker processes on loopback.
     auth_token:
         Shared secret both sides prove knowledge of during the connect
         handshake (never transmitted).  Required with ``endpoints``;
         generated ephemerally in local mode when omitted.
-    host:
-        Interface local workers bind (default loopback).
     """
 
     name = "socket"
@@ -297,30 +276,16 @@ class SocketBackend(WorkerPoolBackend):
     def __init__(self, shards: int, shard_factory: ShardFactory,
                  shard_rngs: Sequence[np.random.Generator], *,
                  workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None,
                  endpoints: Optional[Sequence] = None,
-                 auth_token: Optional[Union[str, bytes]] = None,
-                 host: str = "127.0.0.1") -> None:
-        super().__init__(shards, shard_factory, shard_rngs, workers=workers,
-                         worker_timeout=worker_timeout)
-        self._host = host
+                 auth_token: Optional[Union[str, bytes]] = None) -> None:
+        check_backend_options(self.name, endpoints=endpoints,
+                              auth_token=auth_token)
+        super().__init__(shards, shard_factory, shard_rngs, workers=workers)
         self._local = endpoints is None
-        if self._local:
-            token = auth_token if auth_token is not None \
-                else secrets.token_hex(32)
-            self._endpoint_pool: List[Tuple[str, int]] = []
-        else:
-            if not endpoints:
-                raise ValueError("endpoints must be a non-empty sequence")
-            if auth_token is None:
-                raise ValueError(
-                    "remote socket endpoints require an auth token (pass "
-                    "auth_token= or auth_token_file=; the workers were "
-                    "started with `repro worker serve --auth-token-file`)")
-            token = auth_token
-            self._endpoint_pool = [wire.parse_endpoint(endpoint)
-                                   for endpoint in endpoints]
-        self._token = wire.token_bytes(token)
+        self._endpoint_pool = [wire.parse_endpoint(endpoint)
+                               for endpoint in endpoints or ()]
+        self._token = wire.token_bytes(
+            secrets.token_hex(32) if auth_token is None else auth_token)
         self._start_pool()
 
     def _spawn_local(self, worker: int) -> Tuple[str, int]:
@@ -331,7 +296,7 @@ class SocketBackend(WorkerPoolBackend):
         receive_end, send_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_local_worker_main,
-            args=(self._host, self._token, send_end),
+            args=(self._token, send_end),
             daemon=True,
             name=f"repro-socket-worker-{worker}",
         )

@@ -135,16 +135,17 @@ class ShardedSamplingService:
         local supervised processes or remote ``repro worker serve``
         endpoints).  Outputs and merged memory are bit-identical across
         backends per seed.
-    workers, worker_timeout:
-        Worker-pool tuning of the process and socket backends (worker
-        count, per-request timeout); see
+    workers:
+        Worker count of the process and socket backends; see
         :class:`~repro.engine.backends.process.ProcessBackend` and
         :class:`~repro.engine.backends.socket.SocketBackend`.
-    endpoints, auth_token, auth_token_file:
+    endpoints, auth_token:
         Socket-backend transport: ``host:port`` endpoints of running
-        ``repro worker serve`` instances plus the shared auth token
-        (directly or read from a file); omitted, the socket backend spawns
-        supervised localhost workers itself.
+        ``repro worker serve`` instances plus the shared auth token itself
+        (the CLI and scenario specs read it from the file they name);
+        omitted, the socket backend spawns supervised localhost workers
+        itself.  :func:`~repro.engine.backends.base.check_backend_options`
+        states which backend takes which option.
 
     Examples
     --------
@@ -160,10 +161,8 @@ class ShardedSamplingService:
                  random_state: RandomState = None,
                  backend: str = "serial",
                  workers: Optional[int] = None,
-                 worker_timeout: Optional[float] = None,
                  endpoints: Optional[List[str]] = None,
                  auth_token: Optional[object] = None,
-                 auth_token_file: Optional[str] = None,
                  autoscale: Optional[object] = None) -> None:
         check_positive("shards", shards)
         self.shards = int(shards)
@@ -174,9 +173,7 @@ class ShardedSamplingService:
         self._shard_coins = BufferedUniforms(child_rngs[-1])
         self._backend = make_backend(
             backend, self.shards, shard_factory, child_rngs[:self.shards],
-            workers=workers, worker_timeout=worker_timeout,
-            endpoints=endpoints, auth_token=auth_token,
-            auth_token_file=auth_token_file)
+            workers=workers, endpoints=endpoints, auth_token=auth_token)
         self._init_autoscale(autoscale)
 
     # ------------------------------------------------------------------ #
@@ -189,10 +186,8 @@ class ShardedSamplingService:
                        record_output: bool = False,
                        backend: str = "serial",
                        workers: Optional[int] = None,
-                       worker_timeout: Optional[float] = None,
                        endpoints: Optional[List[str]] = None,
                        auth_token: Optional[object] = None,
-                       auth_token_file: Optional[str] = None,
                        autoscale: Optional[object] = None
                        ) -> "ShardedSamplingService":
         """Build an ensemble of knowledge-free services (Algorithm 3)."""
@@ -203,10 +198,8 @@ class ShardedSamplingService:
             record_output=record_output,
         )
         return cls(shards, factory, random_state=random_state,
-                   backend=backend, workers=workers,
-                   worker_timeout=worker_timeout, endpoints=endpoints,
-                   auth_token=auth_token, auth_token_file=auth_token_file,
-                   autoscale=autoscale)
+                   backend=backend, workers=workers, endpoints=endpoints,
+                   auth_token=auth_token, autoscale=autoscale)
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore
@@ -242,10 +235,8 @@ class ShardedSamplingService:
     def restore(cls, blob: bytes, *,
                 backend: str = "serial",
                 workers: Optional[int] = None,
-                worker_timeout: Optional[float] = None,
                 endpoints: Optional[List[str]] = None,
                 auth_token: Optional[object] = None,
-                auth_token_file: Optional[str] = None,
                 autoscale: Optional[object] = None
                 ) -> "ShardedSamplingService":
         """Rebuild an ensemble from a :meth:`snapshot` blob.
@@ -277,9 +268,8 @@ class ShardedSamplingService:
         service._backend = make_backend(
             backend, service.shards,
             RestoredShardFactory(state["services_blob"]),
-            placeholder_rngs, workers=workers, worker_timeout=worker_timeout,
-            endpoints=endpoints, auth_token=auth_token,
-            auth_token_file=auth_token_file)
+            placeholder_rngs, workers=workers, endpoints=endpoints,
+            auth_token=auth_token)
         service._backend.seed_loads(state["loads"])
         service._init_autoscale(autoscale)
         return service

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from repro.adversary.adaptive import AdaptiveAttack
 from repro.adversary.attacks import SybilIdentifierFactory
 from repro.core.service import NodeSamplingService
+from repro.engine.backends.wire import load_auth_token
 from repro.engine.sharded import ShardedSamplingService
 from repro.network.node import NodeConfig
 from repro.network.simulator import (
@@ -148,6 +150,18 @@ class SweepResult:
         return series
 
 
+def _build_strategy(strategy: StrategySpec, strategies: ComponentRegistry,
+                    sketches: ComponentRegistry, stream: IdentifierStream,
+                    rng: np.random.Generator):
+    """Build one spec entry's strategy (its sketch section, if any, as the
+    frequency oracle) with ``stream`` and ``rng`` as the build context."""
+    context: Dict[str, Any] = {"random_state": rng, "stream": stream}
+    if strategy.sketch is not None:
+        context["frequency_oracle"] = sketches.build(
+            strategy.sketch.kind, strategy.sketch.params, random_state=rng)
+    return strategies.build(strategy.kind, strategy.params, **context)
+
+
 @dataclass
 class ScenarioShardFactory:
     """Builds one shard's service of a sharded scenario strategy.
@@ -166,13 +180,8 @@ class ScenarioShardFactory:
 
     def __call__(self, index: int,
                  rng: np.random.Generator) -> NodeSamplingService:
-        context: Dict[str, Any] = {"random_state": rng, "stream": self.stream}
-        if self.strategy.sketch is not None:
-            context["frequency_oracle"] = self.sketches.build(
-                self.strategy.sketch.kind, self.strategy.sketch.params,
-                random_state=rng)
-        built = self.strategies.build(self.strategy.kind,
-                                      self.strategy.params, **context)
+        built = _build_strategy(self.strategy, self.strategies,
+                                self.sketches, self.stream, rng)
         return NodeSamplingService(built, record_output=False)
 
 
@@ -415,21 +424,6 @@ class ScenarioRunner:
         )
         return metric_input, metric_output
 
-    def _strategy_builder(self, strategy: StrategySpec):
-        """Return a ``(stream, rng) -> strategy`` builder for one spec entry."""
-
-        def build(stream: IdentifierStream,
-                  rng: np.random.Generator):
-            context: Dict[str, Any] = {"random_state": rng, "stream": stream}
-            if strategy.sketch is not None:
-                context["frequency_oracle"] = self._sketches.build(
-                    strategy.sketch.kind, strategy.sketch.params,
-                    random_state=rng)
-            return self._strategies.build(strategy.kind, strategy.params,
-                                          **context)
-
-        return build
-
     def strategy_factories(self) -> Dict[str, Any]:
         """Return the harness strategy factories, keyed by report label.
 
@@ -439,13 +433,19 @@ class ScenarioRunner:
         the execution backend the engine section selects
         (``engine.backend`` / ``engine.workers``).  The shard factory is the
         picklable :class:`ScenarioShardFactory`, so process backends can
-        ship it to their workers under any start method.
+        ship it to their workers under any start method.  The worker token
+        is read here, from the file ``engine.auth_token_file`` names.
         """
         spec = self.spec
+        engine = spec.engine
+        auth_token = (None if engine.auth_token_file is None
+                      else load_auth_token(engine.auth_token_file))
         factories: Dict[str, Any] = {}
         for strategy in spec.strategies:
-            if spec.engine.shards is None:
-                factories[strategy.label] = self._strategy_builder(strategy)
+            if engine.shards is None:
+                factories[strategy.label] = partial(
+                    _build_strategy, strategy, self._strategies,
+                    self._sketches)
                 continue
 
             def sharded(stream: IdentifierStream, rng: np.random.Generator,
@@ -457,11 +457,10 @@ class ScenarioRunner:
                     sketches=self._sketches,
                 )
                 return ShardedSamplingService(
-                    spec.engine.shards, shard_factory, random_state=rng,
-                    backend=spec.engine.backend, workers=spec.engine.workers,
-                    endpoints=spec.engine.endpoints,
-                    auth_token_file=spec.engine.auth_token_file,
-                    autoscale=spec.engine.autoscale)
+                    engine.shards, shard_factory, random_state=rng,
+                    backend=engine.backend, workers=engine.workers,
+                    endpoints=engine.endpoints, auth_token=auth_token,
+                    autoscale=engine.autoscale)
 
             factories[strategy.label] = sharded
         return factories

@@ -198,9 +198,11 @@ class EngineSpec:
     behind authenticated TCP worker connections — supervised localhost
     processes by default, or the remote ``repro worker serve`` instances
     listed in ``endpoints`` (with the shared token read from
-    ``auth_token_file``).  All backends produce bit-identical results per
-    seed, so any sharded scenario can be re-run on any of them without
-    changing its outputs.
+    ``auth_token_file`` by the scenario runner).  All backends produce
+    bit-identical results per seed, so any sharded scenario can be re-run
+    on any of them without changing its outputs.  Which backend takes which
+    option is :func:`~repro.engine.backends.base.check_backend_options`'
+    rule, reported after the ``engine.`` field at fault.
     """
 
     driver: str = "batch"
@@ -214,7 +216,11 @@ class EngineSpec:
 
     def __post_init__(self) -> None:
         from repro.engine.autoscale import AutoscalePolicy
-        from repro.engine.backends import BACKENDS, parse_endpoint
+        from repro.engine.backends import (
+            BACKENDS,
+            BackendOptionError,
+            check_backend_options,
+        )
 
         if self.autoscale is not None:
             try:
@@ -245,37 +251,20 @@ class EngineSpec:
             raise ScenarioError(
                 f"the {self.backend!r} backend parallelises the sharded "
                 "ensemble; set engine.shards as well")
-        if self.workers is not None:
-            check_positive("workers", self.workers)
-            if self.backend == "serial":
-                raise ScenarioError(
-                    "engine.workers only applies to the 'process' and "
-                    "'socket' backends; the serial backend runs in-process")
-        if self.endpoints is not None:
-            if self.backend != "socket":
-                raise ScenarioError(
-                    "engine.endpoints only applies to the 'socket' backend; "
-                    f"the {self.backend!r} backend runs on this host")
-            if (not isinstance(self.endpoints, list) or not self.endpoints
-                    or not all(isinstance(entry, str)
-                               for entry in self.endpoints)):
-                raise ScenarioError(
-                    "engine.endpoints must be a non-empty list of "
-                    "'host:port' strings")
-            for entry in self.endpoints:
-                try:
-                    parse_endpoint(entry)
-                except ValueError as error:
-                    raise ScenarioError(
-                        f"engine.endpoints: {error}") from None
-            if self.auth_token_file is None:
-                raise ScenarioError(
-                    "engine.endpoints requires engine.auth_token_file "
-                    "(remote workers authenticate with a shared token)")
-        if self.auth_token_file is not None and self.backend != "socket":
+        if self.endpoints is not None and not isinstance(self.endpoints,
+                                                         list):
             raise ScenarioError(
-                "engine.auth_token_file only applies to the 'socket' "
-                "backend")
+                "engine.endpoints must be a JSON list of 'host:port' strings")
+        try:
+            # the file stands in for the token: the rules only ask whether
+            # one is given, and the runner reads it when the scenario runs
+            check_backend_options(self.backend, workers=self.workers,
+                                  endpoints=self.endpoints,
+                                  auth_token=self.auth_token_file)
+        except BackendOptionError as error:
+            field = ("auth_token_file" if error.option == "auth_token"
+                     else error.option)
+            raise ScenarioError(f"engine.{field}: {error}") from None
 
     def to_dict(self) -> Dict[str, Any]:
         """Return the JSON-serializable form of the engine section."""
@@ -285,9 +274,7 @@ class EngineSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "EngineSpec":
         """Rebuild an engine section from its :meth:`to_dict` form."""
         data = _require_mapping("engine", data)
-        _check_known_keys("engine", data, ["driver", "batch_size", "shards",
-                                           "backend", "workers", "endpoints",
-                                           "auth_token_file", "autoscale"])
+        _check_known_keys("engine", data, list(cls.__dataclass_fields__))
         return cls(**data)
 
 

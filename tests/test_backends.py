@@ -34,6 +34,7 @@ from repro.engine import (
     make_backend,
     run_stream,
 )
+from repro.engine.backends import BackendOptionError
 from repro.engine.backends.serial import SerialBackend
 from repro.scenarios import ScenarioRunner, ScenarioSpec
 from repro.scenarios.registry import ScenarioError
@@ -468,21 +469,11 @@ class TestWorkerFailures:
             assert service.backend.respawns == 1
             assert serial.merged_memory() == service.merged_memory()
 
-    def test_worker_timeout(self):
-        service = ShardedSamplingService(2, _sleepy_factory, random_state=3,
-                                         backend="process",
-                                         worker_timeout=0.1)
-        try:
-            with pytest.raises(WorkerTimeoutError, match="did not reply"):
-                service.on_receive_batch(STREAM.identifiers[:64])
-        finally:
-            service.close()
-
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_hung_worker_hits_default_deadline(self, backend, monkeypatch):
-        # regression: with worker_timeout=None a live-but-hung worker used
-        # to block _receive forever; the default request deadline must
-        # surface WorkerTimeoutError on both worker transports
+        # regression: a live-but-hung worker used to block _receive
+        # forever; the request deadline must surface WorkerTimeoutError on
+        # both worker transports
         monkeypatch.setattr("repro.engine.backends.base."
                             "DEFAULT_REQUEST_TIMEOUT", 0.2)
         service = ShardedSamplingService(2, _sleepy_factory, random_state=3,
@@ -493,12 +484,14 @@ class TestWorkerFailures:
         finally:
             service.close()
 
-    def test_timeout_poisons_backend_against_stale_replies(self):
+    def test_timeout_poisons_backend_against_stale_replies(self,
+                                                          monkeypatch):
         # regression: the timed-out request's late reply stays queued in the
         # pipe; a retry used to consume it as the answer to the new request
+        monkeypatch.setattr("repro.engine.backends.base."
+                            "DEFAULT_REQUEST_TIMEOUT", 0.1)
         service = ShardedSamplingService(2, _sleepy_factory, random_state=3,
-                                         backend="process",
-                                         worker_timeout=0.1)
+                                         backend="process")
         try:
             with pytest.raises(WorkerTimeoutError):
                 service.on_receive_batch(STREAM.identifiers[:64])
@@ -855,9 +848,7 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown execution backend"):
             _service("quantum")
 
-    @pytest.mark.parametrize("knob", [{"workers": 2},
-                                      {"worker_timeout": 5.0}],
-                             ids=["workers", "worker_timeout"])
+    @pytest.mark.parametrize("knob", [{"workers": 2}], ids=["workers"])
     def test_serial_backend_rejects_workers(self, knob):
         with pytest.raises(ValueError, match="serial"):
             _service("serial", **knob)
@@ -867,9 +858,8 @@ class TestBackendSelection:
             _service("process", shards=2, endpoints=["127.0.0.1:7333"])
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    @pytest.mark.parametrize("knob", [{"auth_token": "secret"},
-                                      {"auth_token_file": "token.txt"}],
-                             ids=["auth_token", "auth_token_file"])
+    @pytest.mark.parametrize("knob", [{"auth_token": "secret"}],
+                             ids=["auth_token"])
     def test_non_socket_backends_reject_auth_tokens(self, backend, knob):
         with pytest.raises(ValueError, match="auth token"):
             make_backend(backend, 2, _mute_factory, spawn_children(1, 2),
@@ -971,7 +961,94 @@ class TestEngineSpec:
             EngineSpec(shards=4, autoscale={"min_workers": 0})
 
 
+#: One mistake per backend-option rule: ``(backend, options, field)``.
+#: ``options`` are library keywords (``auth_token: True`` stands for "a
+#: token is given": the library gets the token, the spec and the CLI the
+#: file that holds it); ``field`` is the ``engine.`` field at fault.
+OPTION_MISTAKES = {
+    "serial-workers": ("serial", {"workers": 2}, "workers"),
+    "nonpositive-workers": ("process", {"workers": 0}, "workers"),
+    "process-endpoints": ("process", {"endpoints": ["127.0.0.1:7333"]},
+                          "endpoints"),
+    "process-auth-token": ("process", {"auth_token": True},
+                           "auth_token_file"),
+    "empty-endpoints": ("socket", {"endpoints": [], "auth_token": True},
+                        "endpoints"),
+    "malformed-endpoint": ("socket", {"endpoints": ["nonsense"],
+                                      "auth_token": True}, "endpoints"),
+    "endpoints-without-token": ("socket",
+                                {"endpoints": ["127.0.0.1:7333"]},
+                                "auth_token_file"),
+}
+
+
+class TestBackendOptionRules:
+    """Each backend rule is stated once, so a mistake reads the same on
+    every surface: the library, a scenario's engine section and the CLI."""
+
+    @pytest.mark.parametrize("mistake", sorted(OPTION_MISTAKES))
+    def test_one_message_on_every_surface(self, mistake, tmp_path):
+        backend, options, field = OPTION_MISTAKES[mistake]
+        token_file = tmp_path / "worker.token"
+        token_file.write_bytes(b"secret\n")
+        library = dict(options)
+        spec = dict(options)
+        flags = ["--backend", backend]
+        if "workers" in options:
+            flags += ["--workers", str(options["workers"])]
+        if "endpoints" in options:
+            flags += ["--endpoints", ",".join(options["endpoints"])]
+        if spec.pop("auth_token", None):
+            library["auth_token"] = b"secret"
+            spec["auth_token_file"] = str(token_file)
+
+        with pytest.raises(BackendOptionError) as raised:
+            make_backend(backend, 2, _mute_factory, spawn_children(1, 2),
+                         **library)
+        message = str(raised.value)
+        with pytest.raises(ScenarioError) as raised:
+            EngineSpec(shards=2, backend=backend, **spec)
+        assert str(raised.value) == f"engine.{field}: {message}"
+
+        def token_flag(name):
+            return [name, str(token_file)] if "auth_token" in options else []
+
+        surfaces = [
+            (["run", str(EXAMPLES / "sharded_zipf.json")]
+             + token_flag("--auth-token-file"),
+             f"repro run: engine.{field}: {message}"),
+            (["throughput"] + token_flag("--auth-token-file"),
+             f"repro throughput: {message}"),
+            (["serve", "--listen", "127.0.0.1:0",
+              "--auth-token-file", str(token_file)]
+             + token_flag("--worker-auth-token-file"),
+             f"repro serve: {message}"),
+        ]
+        for argv, expected in surfaces:
+            with pytest.raises(SystemExit) as raised:
+                main(argv + flags)
+            assert raised.value.code == expected
+
+
 class TestCli:
+    def test_throughput_against_worker_serve_endpoints(self, capsys,
+                                                       tmp_path,
+                                                       worker_server):
+        host, port = worker_server.address
+        token_file = tmp_path / "worker.token"
+        token_file.write_bytes(b"test-secret\n")
+        assert main(["throughput", "--stream-size", "4000",
+                     "--population-size", "400", "--scalar-limit", "2000",
+                     "--batch-size", "1024", "--memory-size", "5",
+                     "--sketch-width", "8", "--sketch-depth", "3",
+                     "--shards", "2", "--backend", "socket",
+                     "--workers", "2", "--endpoints", f"{host}:{port}",
+                     "--auth-token-file", str(token_file), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact"] is True
+        assert report["config"]["backend"] == "socket"
+        assert report["config"]["workers"] == 2
+
     def test_run_with_process_backend(self, capsys):
         assert main(["run", str(EXAMPLES / "sharded_zipf.json"),
                      "--backend", "process", "--workers", "2",

@@ -380,3 +380,39 @@ class TestTelemetryCli:
     def test_log_level_rejects_unknown_levels(self, capsys):
         with pytest.raises(SystemExit):
             main(["--log-level", "LOUD", "list"])
+
+
+class TestEngineFlagErrors:
+    """A flag that breaks a backend rule ends the command with one line."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "examples/scenarios/sharded_zipf.json"],
+        ["serve", "--listen", "127.0.0.1:0", "--auth-token-file", "{token}"],
+        ["throughput"],
+    ], ids=["run", "serve", "throughput"])
+    def test_serial_backend_with_workers(self, command, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parent.parent
+        token = tmp_path / "serve.token"
+        token.write_text("secret\n")
+        argv = [part.format(token=token) for part in command]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        finished = subprocess.run(
+            [sys.executable, "-m", "repro", *argv,
+             "--backend", "serial", "--workers", "2"],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120)
+        assert finished.returncode == 1
+        assert finished.stdout == ""
+        lines = finished.stderr.splitlines()
+        assert len(lines) == 1, finished.stderr
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert lines[0].endswith(
+            "the serial backend runs in-process and takes no workers; "
+            "choose the process or socket backend to parallelise")
