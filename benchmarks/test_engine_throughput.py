@@ -9,16 +9,11 @@ stream", Section III-A) on a million-element Zipf-biased stream:
 * ``sharded`` — the batch driver over a hash-partitioned 4-shard ensemble
   on the serial execution backend (every shard in this process);
 * ``process`` — the same ensemble on the process backend (shard groups
-  pinned to worker processes): zero-copy shared-memory rings plus
-  double-buffered pipelined dispatch.  Its outputs
-  and merged memory are asserted bit-identical to the serial ensemble's,
-  and on a machine with enough cores it must reach at least 2x the serial
-  ensemble's throughput.
-* ``process_pickle`` — the same ensemble on the process backend with the
-  pickled-frame fallback forced (the path of a host without shared memory)
-  and the synchronous driving loop (``pipeline=False``).  On a machine with
-  enough cores the shm+pipelined tier must beat this tier by at least 1.5x
-  — the regression gate of the zero-copy data path.
+  pinned to worker processes, each fed one pickled frame per dispatch)
+  with double-buffered pipelined dispatch.  Its outputs and merged memory
+  are asserted bit-identical to the serial ensemble's, and on a machine
+  with enough cores it must reach at least 2x the serial ensemble's
+  throughput.
 * ``socket``  — the same ensemble on the socket backend (shard groups
   behind authenticated localhost TCP workers), the network-transparent
   tier; also asserted bit-identical to the serial ensemble.  This tier
@@ -65,7 +60,6 @@ from repro.bench.record import (
 )
 from repro.core import KnowledgeFreeStrategy, chunk_kernel
 from repro.engine import ShardedSamplingService, run_stream, run_stream_scalar
-from repro.engine.backends import shm
 from repro.streams import PAPER_TRACES, SyntheticTrace, zipf_stream
 
 #: The paper-scale workload: a million identifiers, Zipf-biased as in the
@@ -198,36 +192,7 @@ def test_process_backend_throughput(benchmark, print_result, identifiers):
         finally:
             service.close()
     benchmark.extra_info["workers"] = service.backend.workers
-    benchmark.extra_info["transport"] = (
-        "shm" if shm.shared_memory_available() else "pickle")
     _record(benchmark, print_result, "process", result)
-
-
-@pytest.mark.figure("throughput")
-def test_process_pickle_backend_throughput(benchmark, print_result,
-                                           identifiers, monkeypatch):
-    """The pre-ring reference tier: pickled frames, synchronous dispatch.
-
-    What the process backend shipped before the shared-memory rings — every
-    sub-chunk pickled into the worker channel and each chunk collected
-    before the next is partitioned; today the automatic fallback of a host
-    without shared memory, forced here.  The shm+pipelined tier above is
-    gated against this tier's throughput.
-    """
-    monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
-    with telemetry.enabled(TELEMETRY_REGISTRY):
-        service = _sharded("process", workers=WORKERS)
-        try:
-            result = benchmark.pedantic(
-                lambda: run_stream(service, identifiers,
-                                   batch_size=BATCH_SIZE, pipeline=False),
-                rounds=1, iterations=1)
-            MERGED_MEMORY["process_pickle"] = service.merged_memory()
-        finally:
-            service.close()
-    benchmark.extra_info["workers"] = service.backend.workers
-    benchmark.extra_info["transport"] = "pickle"
-    _record(benchmark, print_result, "process_pickle", result)
 
 
 @pytest.mark.figure("throughput")
@@ -253,7 +218,7 @@ def test_socket_backend_throughput(benchmark, print_result, identifiers):
 
 
 @pytest.mark.figure("throughput")
-@pytest.mark.parametrize("backend", ["process", "process_pickle", "socket"])
+@pytest.mark.parametrize("backend", ["process", "socket"])
 def test_parallel_backends_bit_identical_to_serial(print_result, backend):
     """Cross-backend exactness: same outputs, same merged memory, per seed."""
     if "sharded" not in RECORDED or backend not in RECORDED:
@@ -288,38 +253,6 @@ def test_process_backend_at_least_2x_serial_sharded(print_result):
     assert speedup >= 2.0, (
         f"process backend only {speedup:.2f}x the serial ensemble "
         f"({process_eps:,.0f} vs {serial_eps:,.0f} elem/s)"
-    )
-
-
-@pytest.mark.figure("throughput")
-def test_process_shm_at_least_1p5x_process_pickle(print_result):
-    """>= 1.5x the pickle/synchronous tier with 4 workers (needs >= 4 cores).
-
-    The zero-copy transport's regression gate: staging chunks into the
-    shared-memory rings while double-buffering dispatch must beat pickling
-    every payload through the pipes synchronously.  On boxes with fewer
-    cores only the bit-identity checks arm (the speedup cannot materialise
-    without genuine parallelism between the parent's staging and the
-    workers' ingestion).
-    """
-    if "process" not in RECORDED or "process_pickle" not in RECORDED:
-        pytest.skip("process benchmarks did not run before this test")
-    shm_eps, _ = RECORDED["process"]
-    pickle_eps, _ = RECORDED["process_pickle"]
-    speedup = shm_eps / pickle_eps
-    print_result("transport speedup",
-                 f"shm+pipelined dispatch is {speedup:.2f}x the "
-                 f"pickle/synchronous tier ({shm_eps:,.0f} vs "
-                 f"{pickle_eps:,.0f} elem/s, {WORKERS} workers, "
-                 f"{multiprocessing.cpu_count()} cores)")
-    if multiprocessing.cpu_count() < 4 or WORKERS < 4:
-        pytest.skip(
-            f"transport speedup assertion needs >= 4 cores and >= 4 workers "
-            f"(have {multiprocessing.cpu_count()} cores, {WORKERS} workers); "
-            "bit-identity was still asserted")
-    assert speedup >= 1.5, (
-        f"shm+pipelined dispatch only {speedup:.2f}x the pickle tier "
-        f"({shm_eps:,.0f} vs {pickle_eps:,.0f} elem/s)"
     )
 
 

@@ -137,22 +137,14 @@ def _service_options(arguments: argparse.Namespace) -> Dict[str, object]:
     return options
 
 
-def _cmd_run(arguments: argparse.Namespace) -> None:
-    """Execute a declarative scenario spec through the ScenarioRunner."""
-    from repro.scenarios import (
-        ScenarioError,
-        ScenarioRunner,
-        ScenarioSpec,
-        available_components,
-    )
+def _run_spec(arguments: argparse.Namespace):
+    """The scenario ``repro run`` executes: the spec file with the flags
+    applied, checked before any work starts, with the worker token file
+    read as ``serve`` and ``throughput`` read theirs (the runner reads it
+    again when it builds the strategies)."""
+    from repro.engine.backends import load_auth_token
+    from repro.scenarios import ScenarioSpec
 
-    if arguments.components:
-        for kind, keys in available_components().items():
-            print(f"{kind}: {', '.join(keys)}")
-        return
-    if arguments.spec is None:
-        raise SystemExit("repro run: a scenario JSON path is required "
-                         "(or pass --components)")
     spec = ScenarioSpec.load(arguments.spec)
     overrides = {}
     if arguments.trials is not None:
@@ -168,12 +160,29 @@ def _cmd_run(arguments: argparse.Namespace) -> None:
         # replace() re-runs the engine section's validation, so an override
         # that contradicts the spec (e.g. --workers on a serial backend)
         # fails with the same error a hand-written spec would
-        try:
-            overrides["engine"] = replace(spec.engine, **engine)
-        except ScenarioError as error:
-            raise SystemExit(f"repro run: {error}") from None
+        overrides["engine"] = replace(spec.engine, **engine)
     if overrides:
         spec = replace(spec, **overrides)
+    if spec.engine.auth_token_file is not None:
+        load_auth_token(spec.engine.auth_token_file)
+    return spec
+
+
+def _cmd_run(arguments: argparse.Namespace) -> None:
+    """Execute a declarative scenario spec through the ScenarioRunner."""
+    from repro.scenarios import ScenarioRunner, available_components
+
+    if arguments.components:
+        for kind, keys in available_components().items():
+            print(f"{kind}: {', '.join(keys)}")
+        return
+    if arguments.spec is None:
+        raise SystemExit("repro run: a scenario JSON path is required "
+                         "(or pass --components)")
+    try:
+        spec = _run_spec(arguments)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro run: {error}") from None
     with _telemetry_context(arguments.telemetry_out is not None) as registry:
         if spec.sweep is not None:
             _run_sweep_spec(spec, arguments)

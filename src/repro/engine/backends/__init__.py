@@ -9,8 +9,8 @@
 * :mod:`repro.engine.backends.serial` — every shard in the calling process
   (the original behaviour, bit-identical);
 * :mod:`repro.engine.backends.process` — shard groups in forked worker
-  processes fed through shared-memory rings, bit-identical to serial per
-  master seed;
+  processes, each fed its sub-chunks in one pickled frame per dispatch,
+  bit-identical to serial per master seed;
 * :mod:`repro.engine.backends.socket` — shard groups behind authenticated
   TCP connections (local supervised workers or remote ``repro worker
   serve`` endpoints), bit-identical to serial per master seed;
@@ -39,8 +39,6 @@ from repro.engine.backends.base import (
 from repro.engine.placement import ShardPlacement
 from repro.engine.backends.process import ProcessBackend
 from repro.engine.backends.serial import SerialBackend
-from repro.engine.backends.shm import ShmRing, ShmRingView, \
-    shared_memory_available
 from repro.engine.backends.socket import SocketBackend, WorkerServer
 from repro.engine.backends.wire import load_auth_token, parse_endpoint
 
@@ -54,8 +52,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ShardPlacement",
-    "ShmRing",
-    "ShmRingView",
     "SocketBackend",
     "WorkerCrashError",
     "WorkerPoolBackend",
@@ -65,5 +61,4 @@ __all__ = [
     "load_auth_token",
     "make_backend",
     "parse_endpoint",
-    "shared_memory_available",
 ]

@@ -37,7 +37,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.engine.backends import wire
-from repro.engine.backends.shm import ShmRingView
 from repro.engine.placement import ShardPlacement
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.registry import DEPTH_EDGES, SIZE_EDGES, TIME_EDGES
@@ -238,39 +237,17 @@ def _build_services(payload: Dict[str, Any]) -> Dict[int, object]:
             for shard, rng in zip(payload["shard_ids"], payload["rngs"])}
 
 
-def _serve_batch_shm(ring: ShmRingView, services, header):
-    """Serve one zero-copy batch: views in, ordinary ingest, views out.
-
-    Delegates the ingestion to the regular ``batch`` interpreter, so the
-    worker-side batch telemetry behaves identically on both data paths.
-    The reply echoes the slot and sequence number (the parent verifies them
-    against its ticket) and carries either out-region entries or, when the
-    outputs outgrow the slot, the inlined arrays.
-    """
-    views = ring.read_in(header["slot"], header["entries"], header["dtype"])
-    outputs = serve_shard_command(services, "batch", views)
-    reply = {"slot": header["slot"], "seq": header["seq"]}
-    entries = ring.try_write_out(header["slot"], outputs)
-    if entries is None:  # pragma: no cover - outputs larger than the slot
-        reply["inline"] = outputs
-    else:
-        reply["entries"] = entries
-    return reply
-
-
 def serve_session(channel: socket.socket, first=None) -> None:
     """Serve one worker session on a connected channel until it closes.
 
     Every pool worker runs this loop: ``start`` builds the shard services
-    (and attaches the shared-memory ring named in its payload, if any),
-    ``batch_shm`` ingests a sub-chunk staged in that ring, and everything
-    else goes through :func:`serve_shard_command`.  A request that raises
-    replies with the formatted traceback instead of ending the session.
-    ``first`` is a request served before anything is read — a process
-    worker receives its ``start`` at fork time that way, so factories that
-    do not pickle keep working.
+    and everything else goes through :func:`serve_shard_command`.  A
+    request that raises replies with the formatted traceback instead of
+    ending the session.  ``first`` is a request served before anything is
+    read — a process worker receives its ``start`` at fork time that way,
+    so factories that do not pickle keep working.
     """
-    services = ring = None
+    services = None
     try:
         while True:
             if first is not None:
@@ -285,14 +262,10 @@ def serve_session(channel: socket.socket, first=None) -> None:
             try:
                 if command == "start":
                     services = _build_services(payload)
-                    if payload.get("ring") is not None:
-                        ring = ShmRingView(*payload["ring"])
                     result = sorted(services)
                 elif services is None:
                     raise RuntimeError(
                         f"protocol error: {command!r} before 'start'")
-                elif command == "batch_shm":
-                    result = _serve_batch_shm(ring, services, payload)
                 else:
                     result = serve_shard_command(services, command, payload)
                 reply = (True, result)
@@ -301,9 +274,6 @@ def serve_session(channel: socket.socket, first=None) -> None:
             wire.send_frame(channel, reply)
     except OSError:
         return
-    finally:
-        if ring is not None:
-            ring.close()
 
 
 def reset_signal_handlers() -> None:
@@ -332,19 +302,15 @@ class DispatchTicket:
     ``dispatch_begin`` returns one; ``dispatch_finish`` turns it into the
     merged output chunk.  ``seq`` orders tickets globally — replies are
     collected strictly FIFO, which is what keeps pipelined execution
-    bit-identical to the synchronous path.  ``transport_state`` is a
-    per-worker scratch slot for the backend's transport (the shm transport
-    parks each worker's ring-slot number there until release).
+    bit-identical to the synchronous path.
     """
 
     seq: int
     outputs: np.ndarray
     masks: Dict[int, np.ndarray] = field(default_factory=dict)
     counts: Dict[int, int] = field(default_factory=dict)
-    per_worker: Dict[int, Dict[int, np.ndarray]] = field(default_factory=dict)
     involved: List[int] = field(default_factory=list)
     collected: bool = False
-    transport_state: Dict[int, object] = field(default_factory=dict)
 
 
 class ExecutionBackend(abc.ABC):
@@ -542,9 +508,9 @@ class WorkerPoolBackend(ExecutionBackend):
       snapshot, replays the journal and re-sends the requests still in
       flight, so the pending collect completes transparently.  After
       :attr:`_max_respawns` failed attempts — or as many crashes on one
-      request — the loss surfaces as :class:`WorkerCrashError`.  A timeout,
-      a worker that raises and a desynchronised reply are not recovered:
-      they poison the backend, since retrying could read a stale reply;
+      request — the loss surfaces as :class:`WorkerCrashError`.  A timeout
+      and a worker that raises are not recovered: they poison the backend,
+      since retrying could read a stale reply;
     * **teardown**.
 
     Parameters
@@ -602,9 +568,8 @@ class WorkerPoolBackend(ExecutionBackend):
         #: Mutating requests completed since the worker's last snapshot.
         self._journals: List[List[tuple]] = []
         #: Per-worker FIFO of posted, not yet collected requests:
-        #: ``(request, logical, metric, posted_at)``.  ``request`` is what
-        #: went on the wire (and is re-sent after a recovery), ``logical``
-        #: what the journal replays, ``metric`` the round-trip series.
+        #: ``(request, posted_at)``.  A recovery re-sends ``request``; once
+        #: collected, a mutating one joins the journal.
         self._inflight: List[Deque[tuple]] = []
 
     @property
@@ -623,9 +588,6 @@ class WorkerPoolBackend(ExecutionBackend):
         so the channel's next frame is the start reply.  A launch that
         creates a process records it in ``self._processes[worker]``.
         """
-
-    def _retire(self, worker: int) -> None:
-        """Release per-slot resources once a worker is gone for good."""
 
     def _start_pool(self) -> None:
         """Start the initial workers (subclass constructors call this last)."""
@@ -704,7 +666,7 @@ class WorkerPoolBackend(ExecutionBackend):
             process.join(timeout=5.0)
 
     def _halt(self, worker: int) -> None:
-        """Close one worker for good: channel, process, slot resources."""
+        """Close one worker for good: channel and process."""
         channel = self._channels[worker]
         if channel is not None:
             try:
@@ -714,7 +676,6 @@ class WorkerPoolBackend(ExecutionBackend):
                 pass
         self._close_channel(worker)
         self._stop_process(worker)
-        self._retire(worker)
 
     def _teardown(self) -> None:
         for worker in range(len(self._channels)):
@@ -739,22 +700,12 @@ class WorkerPoolBackend(ExecutionBackend):
                                    deadline=time.monotonic() + timeout)
         return pickle.loads(blob), len(blob)
 
-    def _post(self, worker: int, command: str, payload=None, *,
-              logical: Optional[tuple] = None,
-              metric: Optional[str] = None) -> None:
-        """Send one request to a worker (a lost channel is recovered).
-
-        ``logical`` is what the journal replays if it differs from the wire
-        request — a shared-memory batch journals its arrays, not the ring
-        header, because ring slots are reused.  ``metric`` overrides the
-        round-trip series, so both batch data paths report as ``batch``.
-        """
+    def _post(self, worker: int, command: str, payload=None) -> None:
+        """Send one request to a worker (a lost channel is recovered)."""
         self._check_usable()
         request = (command, payload)
         blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-        self._inflight[worker].append((request, logical or request,
-                                       metric or command,
-                                       time.perf_counter()))
+        self._inflight[worker].append((request, time.perf_counter()))
         try:
             wire.send_raw_frame(
                 self._channels[worker], blob,
@@ -778,7 +729,7 @@ class WorkerPoolBackend(ExecutionBackend):
     def _finish(self, worker: int):
         """Collect the reply of the worker's oldest in-flight request."""
         self._check_usable()
-        request, logical, metric, posted = self._inflight[worker][0]
+        request, posted = self._inflight[worker][0]
         timeout = DEFAULT_REQUEST_TIMEOUT
         crashes = 0
         while True:
@@ -812,15 +763,15 @@ class WorkerPoolBackend(ExecutionBackend):
             raise WorkerCrashError(
                 f"worker {worker} raised while serving {request[0]!r} "
                 f"(build a new service):\n{result}")
-        if logical[0] in _MUTATING_COMMANDS:
-            self._journals[worker].append(logical)
+        if request[0] in _MUTATING_COMMANDS:
+            self._journals[worker].append(request)
         reg = telemetry.active()
         if reg is not None:
             # the parent's experienced latency: post to reply-in-hand,
             # including any queueing behind sibling workers' replies
             reg.counter(f"backend.{self.name}.bytes_received").inc(received)
             reg.histogram(
-                f"backend.{self.name}.roundtrip_seconds.{metric}",
+                f"backend.{self.name}.roundtrip_seconds.{request[0]}",
                 TIME_EDGES).observe(time.perf_counter() - posted)
         return result
 
@@ -953,7 +904,7 @@ class WorkerPoolBackend(ExecutionBackend):
                 raise WorkerCrashError(
                     f"worker {worker} failed replaying {request[0]!r} "
                     f"after a re-spawn:\n{result}")
-        for request, *_ in self._inflight[worker]:
+        for request, _ in self._inflight[worker]:
             wire.send_frame(channel, request,
                             deadline=time.monotonic() + span)
 
@@ -969,15 +920,15 @@ class WorkerPoolBackend(ExecutionBackend):
                        shard_indices: np.ndarray) -> DispatchTicket:
         """Partition one chunk and post its sub-chunks to the workers.
 
-        When the pipeline is full (``pipeline_depth`` tickets in flight),
-        the oldest dispatch is collected first — that, together with the
-        transport's bounded ring slots, is the backpressure that keeps a
-        fast producer from outrunning the workers.  A worker due for its
-        supervision snapshot also collects the pipeline first, since the
-        snapshot waits for the worker to be idle.  With an older ticket
-        still in flight, the time spent partitioning and staging here is
-        genuine parent/worker overlap, recorded as
-        ``backend.<name>.staging_overlap_seconds``.
+        Each involved worker gets one ``batch`` frame holding its shards'
+        sub-chunks.  When the pipeline is full (``pipeline_depth`` tickets
+        in flight), the oldest dispatch is collected first — the
+        backpressure that keeps a fast producer from outrunning the
+        workers.  A worker due for its supervision snapshot also collects
+        the pipeline first, since the snapshot waits for the worker to be
+        idle.  With an older ticket still in flight, the time spent
+        partitioning and posting here is genuine parent/worker overlap,
+        recorded as ``backend.<name>.staging_overlap_seconds``.
         """
         while self._pipeline and (len(self._pipeline) >= self.pipeline_depth
                                   or self._snapshot_due()):
@@ -990,6 +941,7 @@ class WorkerPoolBackend(ExecutionBackend):
             seq=self._next_seq,
             outputs=np.empty(identifiers.size, dtype=np.int64))
         self._next_seq += 1
+        per_worker: Dict[int, Dict[int, np.ndarray]] = {}
         for shard in range(self.shards):
             mask = shard_indices == shard
             if not mask.any():
@@ -997,11 +949,10 @@ class WorkerPoolBackend(ExecutionBackend):
             ticket.masks[shard] = mask
             ticket.counts[shard] = int(mask.sum())
             worker = self._placement.worker_of(shard)
-            ticket.per_worker.setdefault(worker, {})[shard] = \
-                identifiers[mask]
-        ticket.involved = sorted(ticket.per_worker)
+            per_worker.setdefault(worker, {})[shard] = identifiers[mask]
+        ticket.involved = sorted(per_worker)
         for worker in ticket.involved:
-            self._post_batch(worker, ticket)
+            self._post(worker, "batch", per_worker[worker])
         self._pipeline.append(ticket)
         if reg is not None:
             # queue depth = requests pipelined before the first collect;
@@ -1032,7 +983,7 @@ class WorkerPoolBackend(ExecutionBackend):
             self._collect_oldest()
 
     def _collect_oldest(self) -> None:
-        """Collect, scatter and release the oldest in-flight dispatch.
+        """Collect and scatter the oldest in-flight dispatch.
 
         Strictly FIFO — tickets complete in ``seq`` order no matter how the
         caller interleaves begin/finish, which keeps the worker-side command
@@ -1044,11 +995,9 @@ class WorkerPoolBackend(ExecutionBackend):
         ticket = self._pipeline[0]
         try:
             for worker in ticket.involved:
-                replies = self._collect_batch(worker, ticket)
-                for shard, shard_outputs in replies.items():
+                for shard, shard_outputs in self._finish(worker).items():
                     ticket.outputs[ticket.masks[shard]] = shard_outputs
                     self._loads[shard] += ticket.counts[shard]
-                self._release_batch(worker, ticket)
         except BaseException:
             self._pipeline.popleft()
             ticket.collected = True
@@ -1056,21 +1005,6 @@ class WorkerPoolBackend(ExecutionBackend):
         self._pipeline.popleft()
         ticket.collected = True
         self._after_requests()
-
-    # ------------------------------------------------------------------ #
-    # Dispatch data-path hooks (overridden by the shared-memory rings)
-    # ------------------------------------------------------------------ #
-    def _post_batch(self, worker: int, ticket: DispatchTicket) -> None:
-        """Send one worker its sub-chunks of a dispatch (pickled frame)."""
-        self._post(worker, "batch", ticket.per_worker[worker])
-
-    def _collect_batch(self, worker: int,
-                       ticket: DispatchTicket) -> Dict[int, np.ndarray]:
-        """Collect one worker's ``{shard: outputs}`` reply of a dispatch."""
-        return self._finish(worker)
-
-    def _release_batch(self, worker: int, ticket: DispatchTicket) -> None:
-        """Free data-path resources once a worker's reply is scattered."""
 
     # ------------------------------------------------------------------ #
     # Sampling

@@ -16,14 +16,9 @@ Everything but the launch is the shared
 supervision (a worker killed mid-run is re-forked and rebuilt from its last
 snapshot plus a journal replay) and teardown.  A worker's channel is one
 end of a ``socket.socketpair()`` made before the fork — private to the two
-processes, so it needs no handshake.
-
-Data path: each worker's sub-chunks are staged into a per-worker
-shared-memory ring (:mod:`~repro.engine.backends.shm`) and only a small
-header crosses the channel; the worker answers into the slot's output
-region the same way.  Sub-chunks below ``MIN_SHM_BYTES``, payloads that do
-not fit a slot and hosts without POSIX shared memory fall back to pickled
-frames automatically.  Results are bit-identical either way.
+processes, so it needs no handshake.  Each worker's sub-chunks ride one
+pickled ``batch`` frame, the same request the socket backend sends, and
+the reply frame carries its outputs back.
 
 Determinism: the per-shard generators are spawned in the parent (exactly as
 the serial backend consumes them) and handed to the workers at start-up, so
@@ -40,31 +35,17 @@ factories must be module-level callables such as
 
 from __future__ import annotations
 
-import os
 import socket
-import uuid
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.backends import shm as _shm
 from repro.engine.backends.base import (
     ShardFactory,
-    WorkerCrashError,
     WorkerPoolBackend,
     reset_signal_handlers,
     serve_session,
 )
-from repro.engine.backends.shm import ShmRing
-from repro.telemetry import runtime as telemetry
-
-#: Prefix of the backend's shared-memory ring segments.  Unlink tests (and
-#: an operator staring at ``/dev/shm``) identify leaked segments by it.
-RING_NAME_PREFIX = "repro-ring"
-
-
-def _ring_name(worker: int) -> str:
-    return f"{RING_NAME_PREFIX}-{os.getpid()}-{worker}-{uuid.uuid4().hex[:8]}"
 
 
 def _run_worker(channel: socket.socket, start: Dict[str, Any]) -> None:
@@ -85,7 +66,7 @@ class ProcessBackend(WorkerPoolBackend):
 
     name = "process"
 
-    #: Double-buffered: chunk k+1 is partitioned and staged while the
+    #: Double-buffered: chunk k+1 is partitioned and posted while the
     #: workers are still chewing on chunk k.
     pipeline_depth = 2
 
@@ -93,26 +74,9 @@ class ProcessBackend(WorkerPoolBackend):
                  shard_rngs: Sequence[np.random.Generator], *,
                  workers: Optional[int] = None) -> None:
         super().__init__(shards, shard_factory, shard_rngs, workers=workers)
-        # hosts without POSIX shared memory run the pickled-frame path
-        self._use_shm = _shm.shared_memory_available()
-        #: Per-worker ring, kept across re-launches: a re-forked worker
-        #: attaches to the same segment, so re-sent headers stay valid.
-        self._rings: Dict[int, Optional[ShmRing]] = {}
         self._start_pool()
 
     def _launch(self, worker: int, start: Dict[str, Any]) -> socket.socket:
-        if worker not in self._rings:
-            ring = None
-            if self._use_shm:
-                try:
-                    ring = ShmRing(_shm.DEFAULT_RING_SLOTS,
-                                   _shm.DEFAULT_SLOT_BYTES,
-                                   name=_ring_name(worker))
-                except (OSError, ValueError):  # pragma: no cover - shm full
-                    ring = None  # this worker degrades to pickled frames
-            self._rings[worker] = ring
-        if self._rings[worker] is not None:
-            start["ring"] = self._rings[worker].spec()
         parent_end, child_end = socket.socketpair()
         try:
             process = self._context.Process(
@@ -127,64 +91,3 @@ class ProcessBackend(WorkerPoolBackend):
             child_end.close()
         self._processes[worker] = process
         return parent_end
-
-    def _retire(self, worker: int) -> None:
-        ring = self._rings.pop(worker, None)
-        if ring is not None:
-            ring.destroy()
-
-    # ------------------------------------------------------------------ #
-    # Data path: shared-memory rings with pickled-frame fallback
-    # ------------------------------------------------------------------ #
-    def _post_batch(self, worker: int, ticket) -> None:
-        payload = ticket.per_worker[worker]
-        ring = self._rings.get(worker)
-        reg = telemetry.active()
-        if ring is not None:
-            staged = None
-            size = _shm.packed_size(list(payload.values()))
-            if size >= _shm.MIN_SHM_BYTES:
-                # small sub-chunks skip the ring: the pickle copy is
-                # cheaper than the staging bookkeeping below ~2 KiB
-                staged = ring.try_stage(payload)
-            if staged is not None:
-                staged["seq"] = ticket.seq
-                ticket.transport_state[worker] = staged["slot"]
-                # the journal keeps the arrays, not the header: the slot is
-                # reused long before a replay could read it
-                self._post(worker, "batch_shm", staged,
-                           logical=("batch", payload), metric="batch")
-                if reg is not None:
-                    reg.counter("backend.process.shm_bytes_sent").inc(size)
-                return
-            if reg is not None:
-                reg.counter("backend.process.shm_fallbacks").inc()
-        self._post(worker, "batch", payload)
-
-    def _collect_batch(self, worker: int, ticket):
-        reply = self._finish(worker)
-        slot = ticket.transport_state.get(worker)
-        if slot is None:
-            return reply
-        if not isinstance(reply, dict) or reply.get("seq") != ticket.seq \
-                or reply.get("slot") != slot:
-            self._broken = True
-            raise WorkerCrashError(
-                f"worker {worker} answered a shared-memory batch with a "
-                f"mismatched header (expected slot {slot} seq {ticket.seq}, "
-                f"got {reply!r}); the protocol is desynchronised — build a "
-                "new service")
-        if "inline" in reply:  # pragma: no cover - outputs outgrew the slot
-            return reply["inline"]
-        views = self._rings[worker].read_out(slot, reply["entries"])
-        reg = telemetry.active()
-        if reg is not None:
-            reg.counter("backend.process.shm_bytes_received").inc(
-                int(sum(view.nbytes for view in views.values())))
-        return views
-
-    def _release_batch(self, worker: int, ticket) -> None:
-        slot = ticket.transport_state.pop(worker, None)
-        ring = self._rings.get(worker)
-        if slot is not None and ring is not None:
-            ring.release(slot)

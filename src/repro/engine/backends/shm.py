@@ -1,38 +1,35 @@
-"""Shared-memory ring buffers: the process backend's zero-copy data path.
+"""Shared-memory ring buffers, which no execution backend uses.
 
-A pickled frame carries every hash-partitioned sub-chunk through the worker
-channel — one full copy on each side of the fork.  This module provides the
-alternative the process backend uses by default: a per-worker ring of
-fixed-size slots in a ``multiprocessing.shared_memory`` segment.  The
-parent stages each worker's sub-chunk arrays directly into a free slot and
-sends only a small header (slot, offsets, lengths, dtype, sequence number)
-over the worker's channel; the worker reconstructs ``np.ndarray`` views
-over the same pages with zero copies and writes its result arrays into the
-slot's paired output region the same way.  A worker re-forked after a
-crash attaches to the same segment, so re-sent headers stay valid.
+Every backend sends each worker its sub-chunks in a pickled frame: on the
+process backend, frames matched a per-worker ring on ingest throughput and
+read latency and used less memory.  Nothing in the library imports this
+module.  It stays only because the benchmark's layer tracer
+(``perfbench/tracing.py``) wraps :meth:`ShmRing.try_stage`, and it goes
+together with that span.
+
+The ring is a set of fixed-size slots in one ``multiprocessing.shared_memory``
+segment: the creator stages arrays directly into a free slot, and a reader
+attached to the segment reconstructs ``np.ndarray`` views over the same
+pages with zero copies and writes its result arrays into the slot's paired
+output region the same way.
 
 Layout of one segment (sized ``2 * slots * slot_bytes``)::
 
     [ in slot 0 | in slot 1 | ... | out slot 0 | out slot 1 | ... ]
 
 Slot ``i``'s input region starts at ``i * slot_bytes``; its output region
-at ``(slots + i) * slot_bytes``.  Input and output never share bytes, so a
-worker may build its reply while the parent still holds views into the
-request (it does not today, but the layout keeps the invariant cheap).
+at ``(slots + i) * slot_bytes``.  Input and output never share bytes.
 Within a region, arrays are packed back to back at 64-byte aligned offsets
 (cache-line aligned, and comfortably aligned for any NumPy dtype).
 
-Slot accounting lives entirely in the parent: a slot is acquired when a
-dispatch stages into it and released when that dispatch's reply has been
-scattered.  With pipelined dispatch the ring therefore provides natural
-backpressure — no free slot means the oldest in-flight dispatch must be
-collected first (or the dispatch transparently falls back to pickle).
+Slot accounting lives entirely with the creator: a slot is acquired when
+arrays are staged into it and released explicitly; no free slot makes
+:meth:`ShmRing.try_stage` return ``None``.
 
-Ownership: the parent creates and unlinks every segment; workers attach and
+Ownership: the creator creates and unlinks the segment; readers attach and
 close only (see :func:`attach_segment` on why that needs no resource-tracker
-fiddling).  Should the parent die without cleanup (``kill -9``), the
-surviving resource tracker unlinks the registered segments itself — nothing
-leaks in ``/dev/shm`` on any exit path.
+fiddling).  Should the creator die without cleanup (``kill -9``), the
+surviving resource tracker unlinks the registered segment itself.
 """
 
 from __future__ import annotations

@@ -70,7 +70,6 @@ class KnowledgeFreeShardFactory:
     memory_size: int
     sketch_width: int = 10
     sketch_depth: int = 5
-    record_output: bool = False
 
     def __call__(self, index: int,
                  rng: np.random.Generator) -> NodeSamplingService:
@@ -79,7 +78,7 @@ class KnowledgeFreeShardFactory:
             sketch_width=self.sketch_width,
             sketch_depth=self.sketch_depth,
             random_state=rng,
-            record_output=self.record_output,
+            record_output=False,
         )
 
 
@@ -183,7 +182,6 @@ class ShardedSamplingService:
     def knowledge_free(cls, shards: int, memory_size: int, *,
                        sketch_width: int = 10, sketch_depth: int = 5,
                        random_state: RandomState = None,
-                       record_output: bool = False,
                        backend: str = "serial",
                        workers: Optional[int] = None,
                        endpoints: Optional[List[str]] = None,
@@ -192,11 +190,7 @@ class ShardedSamplingService:
                        ) -> "ShardedSamplingService":
         """Build an ensemble of knowledge-free services (Algorithm 3)."""
         factory = KnowledgeFreeShardFactory(
-            memory_size,
-            sketch_width=sketch_width,
-            sketch_depth=sketch_depth,
-            record_output=record_output,
-        )
+            memory_size, sketch_width=sketch_width, sketch_depth=sketch_depth)
         return cls(shards, factory, random_state=random_state,
                    backend=backend, workers=workers, endpoints=endpoints,
                    auth_token=auth_token, autoscale=autoscale)

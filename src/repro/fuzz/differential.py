@@ -42,7 +42,7 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
 }
 
 #: The variants compared by default: serial is the reference, process
-#: exercises the pipelined shared-memory path, socket the TCP path.
+#: exercises pipelined dispatch, socket the TCP path.
 DEFAULT_VARIANTS: Tuple[str, ...] = ("serial", "process", "socket")
 
 

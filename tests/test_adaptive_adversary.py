@@ -16,7 +16,6 @@ from repro.adversary import (
     SamplerView,
 )
 from repro.core.knowledge_free import KnowledgeFreeStrategy
-from repro.engine.backends import shm
 from repro.engine.batch import run_stream
 from repro.scenarios import (
     ScenarioError,
@@ -294,14 +293,7 @@ class TestAdaptiveBitIdentity:
     def serial_reference(self):
         return self.run_engine(backend="serial")
 
-    def test_process_shm_matches_serial(self, serial_reference):
-        assert self.run_engine(backend="process",
-                               workers=2) == serial_reference
-
-    def test_process_pickle_matches_serial(self, serial_reference,
-                                           monkeypatch):
-        # the pickled-frame fallback of a host without shared memory
-        monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
+    def test_process_matches_serial(self, serial_reference):
         assert self.run_engine(backend="process",
                                workers=2) == serial_reference
 

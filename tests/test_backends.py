@@ -13,6 +13,9 @@ import multiprocessing
 import os
 import pickle
 import socket as socket_module
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from dataclasses import replace
@@ -21,11 +24,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.engine import (
     AuthenticationError,
     BackendError,
     KnowledgeFreeShardFactory,
+    ProcessBackend,
     ShardedSamplingService,
     SocketBackend,
     WorkerCrashError,
@@ -530,6 +535,35 @@ class TestWorkerFailures:
         service.close()
         _assert_no_leaked_workers()
 
+    def test_no_helper_process_outlives_a_pool(self):
+        # a fresh interpreter: the ring tests may already have started the
+        # multiprocessing resource tracker in this one
+        script = textwrap.dedent("""
+            import multiprocessing
+            from multiprocessing import resource_tracker
+
+            import numpy as np
+
+            from repro.engine import ShardedSamplingService
+
+            ids = np.arange(4096, dtype=np.int64)
+            for backend in ("process", "socket"):
+                service = ShardedSamplingService.knowledge_free(
+                    shards=4, memory_size=10, random_state=23,
+                    backend=backend, workers=2)
+                service.on_receive_batch(ids)
+                service.begin_batch(ids)  # still in flight at close()
+                service.close()
+            assert resource_tracker._resource_tracker._pid is None
+            assert multiprocessing.active_children() == []
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        finished = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+        assert finished.returncode == 0, finished.stderr
+
 
 # --------------------------------------------------------------------- #
 # Pool supervision (both pools): re-spawn, snapshots, bounded replay; and
@@ -884,6 +918,17 @@ class TestBackendSelection:
             make_backend("serial", 2, _mute_factory, rngs,
                          endpoints=["127.0.0.1:7333"])
 
+    def test_constructor_and_resolver_validation(self):
+        # every chunk rides a pickled frame: there is no transport knob
+        for knob in ({"transport": "pickle"}, {"ring_slots": 2},
+                     {"slot_bytes": 64}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                ProcessBackend(4, _mute_factory, spawn_children(23, 4),
+                               workers=2, **knob)
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                make_backend("process", 4, _mute_factory,
+                             spawn_children(23, 4), **knob)
+
 
 class TestEngineSpec:
     def test_backend_round_trips_through_json(self):
@@ -959,6 +1004,12 @@ class TestEngineSpec:
     def test_invalid_autoscale_policy_rejected(self):
         with pytest.raises(ScenarioError, match="engine.autoscale"):
             EngineSpec(shards=4, autoscale={"min_workers": 0})
+
+    def test_engine_spec_validation(self):
+        for knob in ("transport", "ring_slots"):
+            with pytest.raises(ScenarioError, match="unknown key"):
+                EngineSpec.from_dict({"shards": 4, "backend": "process",
+                                      knob: 2})
 
 
 #: One mistake per backend-option rule: ``(backend, options, field)``.

@@ -1,8 +1,14 @@
 """Tests for repro.cli (the python -m repro command-line interface)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SHARDED_ZIPF = (Path(__file__).resolve().parent.parent / "examples"
+                / "scenarios" / "sharded_zipf.json")
 
 
 class TestParser:
@@ -416,3 +422,31 @@ class TestEngineFlagErrors:
         assert lines[0].endswith(
             "the serial backend runs in-process and takes no workers; "
             "choose the process or socket backend to parallelise")
+
+    def test_run_spec_file_breaking_a_backend_rule(self, tmp_path):
+        spec = json.loads(SHARDED_ZIPF.read_text())
+        spec["engine"]["workers"] = 2  # on the serial backend
+        path = tmp_path / "serial_workers.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as raised:
+            main(["run", str(path)])
+        assert raised.value.code == (
+            "repro run: engine.workers: the serial backend runs in-process "
+            "and takes no workers; choose the process or socket backend to "
+            "parallelise")
+
+    @pytest.mark.parametrize("named_by", ["flag", "spec"])
+    def test_run_missing_worker_token_file(self, named_by, tmp_path):
+        missing = tmp_path / "absent.token"
+        spec = json.loads(SHARDED_ZIPF.read_text())
+        spec["engine"]["backend"] = "socket"
+        flags = ["--auth-token-file", str(missing)]
+        if named_by == "spec":
+            spec["engine"]["auth_token_file"] = str(missing)
+            flags = []
+        path = tmp_path / "socket.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as raised:
+            main(["run", str(path), *flags])
+        assert raised.value.code == (
+            f"repro run: [Errno 2] No such file or directory: '{missing}'")

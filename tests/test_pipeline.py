@@ -5,9 +5,9 @@ beginning chunk ``k+1`` before collecting chunk ``k``, and the underlying
 ``dispatch_begin``/``dispatch_finish`` ticket machinery — produces outputs,
 merged memory, loads and samples bit-identical to the serial backend on
 every edge the double buffer has: single-chunk streams, a final partial
-chunk, ring wrap-around, a stalled worker exercising backpressure, sampling
-between begin and finish (pipeline drain), and a mid-run autoscale
-migration with the shared-memory transport on.
+chunk, many chunks in a row, a stalled worker exercising backpressure,
+sampling between begin and finish (pipeline drain), a mid-run autoscale
+migration, and a worker killed with two dispatches in flight.
 """
 
 import time
@@ -18,7 +18,6 @@ import pytest
 from repro import telemetry
 from repro.core import KnowledgeFreeStrategy
 from repro.engine import ShardedSamplingService, run_stream
-from repro.engine.backends import shm as shm_module
 from repro.engine.backends.process import ProcessBackend
 from repro.engine.backends.serial import SerialBackend
 from repro.engine.backends.socket import SocketBackend
@@ -101,13 +100,7 @@ class TestPipelineSelection:
 # run_stream edges, all bit-identical to serial
 # --------------------------------------------------------------------- #
 class TestPipelinedRunStream:
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_auto_pipelined_with_final_partial_chunk(self, transport,
-                                                     monkeypatch):
-        if transport == "pickle":
-            # the automatic fallback of a host without shared memory
-            monkeypatch.setattr(shm_module, "shared_memory_available",
-                                lambda: False)
+    def test_auto_pipelined_with_final_partial_chunk(self):
         ids = IDS[:6000]  # 2048-chunks: 2048 + 2048 + 1904 (partial tail)
         reference = _serial_run(ids, 2048)
         with _service(workers=2) as service:
@@ -137,9 +130,8 @@ class TestPipelinedRunStream:
                                 pipeline=False)
             _assert_matches(service, result, reference)
 
-    def test_ring_wrap_around_over_many_chunks(self, monkeypatch):
-        """A 2-slot ring cycled by 16 chunks stays bit-identical."""
-        monkeypatch.setattr(shm_module, "DEFAULT_RING_SLOTS", 2)
+    def test_ring_wrap_around_over_many_chunks(self):
+        """16 chunks through the double buffer stay bit-identical."""
         reference = _serial_run(IDS, 512)
         with _service(workers=2) as service:
             result = run_stream(service, IDS, batch_size=512)
@@ -215,12 +207,12 @@ class TestBeginFinish:
 
 
 # --------------------------------------------------------------------- #
-# Mid-run autoscaling under the pipelined shm driver
+# Mid-run autoscaling under the pipelined driver
 # --------------------------------------------------------------------- #
 class TestPipelinedAutoscale:
     def test_flash_crowd_scale_up_matches_serial(self):
-        """The acceptance bar: shm transport + pipelined driving + live
-        autoscale migration mid-stream, bit-identical to serial."""
+        """The acceptance bar: pipelined driving + live autoscale
+        migration mid-stream, bit-identical to serial."""
         reference = _serial_run(IDS, 512)
         with _service(workers=1, autoscale=AUTOSCALE) as service:
             assert service.placement.workers == 1
@@ -230,6 +222,43 @@ class TestPipelinedAutoscale:
             assert stats["scale_ups"] == 2
             assert stats["evaluations"] > 0
             _assert_matches(service, result, reference)
+
+
+# --------------------------------------------------------------------- #
+# Recovery with the pipeline full
+# --------------------------------------------------------------------- #
+class TestPipelinedRecovery:
+    def test_kill_nine_with_a_pipelined_dispatch_in_flight(self):
+        """Two chunks in flight when worker 0 dies: the re-forked worker
+        replays its journal and answers both re-sent batch frames in order
+        — bit-identical to serial."""
+        chunks = [IDS[start:start + 1000] for start in range(0, 8000, 1000)]
+        reference = _service("serial")
+        expected = [reference.on_receive_batch(chunk) for chunk in chunks]
+        service = ShardedSamplingService(
+            4, _SlowKnowledgeFreeFactory(0.1), random_state=23,
+            backend="process", workers=2)
+        try:
+            # the seventh mutation comes due while the eighth chunk is
+            # still in flight, which defers that snapshot until the worker
+            # is idle
+            service.backend._snapshot_every = 7
+            outputs = [service.on_receive_batch(chunk)
+                       for chunk in chunks[:6]]
+            handles = [service.begin_batch(chunk) for chunk in chunks[6:]]
+            assert not any(handle[0].collected for handle in handles)
+            service.backend._processes[0].kill()
+            outputs += [service.finish_batch(handle) for handle in handles]
+            assert service.backend.respawns == 1
+            assert all(blob is not None
+                       for blob in service.backend._snapshots)
+            for ours, want in zip(outputs, expected):
+                assert np.array_equal(ours, want)
+            assert service.merged_memory() == reference.merged_memory()
+            assert service.sample_many(40) == reference.sample_many(40)
+            assert service.shard_loads() == reference.shard_loads()
+        finally:
+            service.close()
 
 
 # --------------------------------------------------------------------- #
