@@ -26,6 +26,7 @@ import abc
 import logging
 import multiprocessing
 import pickle
+import select
 import signal
 import socket
 import time
@@ -237,6 +238,66 @@ def _build_services(payload: Dict[str, Any]) -> Dict[int, object]:
             for shard, rng in zip(payload["shard_ids"], payload["rngs"])}
 
 
+class _SessionChannel:
+    """A worker's end of its channel: sending a reply never stops reading.
+
+    Pipelined dispatch lets the parent post request ``k+1`` while the
+    worker still answers request ``k``.  Were both frames larger than the
+    socket buffers, plain blocking sends would deadlock: the worker waits
+    for the parent to read reply ``k``, the parent for the worker to read
+    request ``k+1``.  So while a reply waits for room in the channel, the
+    incoming request bytes are read ahead into a buffer, and the next
+    request is read from that buffer first.  The parent keeps at most
+    ``pipeline_depth`` requests in flight, so the buffer holds at most one.
+    """
+
+    def __init__(self, channel: socket.socket) -> None:
+        # blocking mode, which MSG_DONTWAIT lifts for one reply send at a
+        # time (a handshake may have left a socket timeout set)
+        channel.settimeout(None)
+        self._channel = channel
+        self._ahead = bytearray()
+
+    def receive(self):
+        """Read and unpickle the next request frame."""
+        if not self._ahead:
+            return wire.recv_frame(self._channel)
+        (length,) = wire.LENGTH.unpack(self._take(wire.LENGTH.size))
+        return pickle.loads(self._take(length))
+
+    def _take(self, count: int) -> bytearray:
+        """``count`` bytes: the read-ahead buffer first, then the channel."""
+        taken = self._ahead[:count]
+        del self._ahead[:count]
+        while len(taken) < count:
+            chunk = self._channel.recv(min(count - len(taken), 1 << 20))
+            if not chunk:
+                raise wire.ConnectionLost("connection closed by peer")
+            taken += chunk
+        return taken
+
+    def send(self, reply) -> None:
+        """Pickle and send one reply frame, reading ahead while it waits."""
+        blob = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+        data = memoryview(wire.LENGTH.pack(len(blob)) + blob)
+        poller = None
+        while True:
+            try:
+                data = data[self._channel.send(data, socket.MSG_DONTWAIT):]
+            except BlockingIOError:
+                pass
+            if not data:
+                return
+            if poller is None:
+                poller = select.poll()
+                poller.register(self._channel, select.POLLIN | select.POLLOUT)
+            if any(events & select.POLLIN for _, events in poller.poll()):
+                chunk = self._channel.recv(1 << 20)
+                if not chunk:
+                    raise ConnectionResetError("connection closed by peer")
+                self._ahead += chunk
+
+
 def serve_session(channel: socket.socket, first=None) -> None:
     """Serve one worker session on a connected channel until it closes.
 
@@ -248,13 +309,14 @@ def serve_session(channel: socket.socket, first=None) -> None:
     so factories that do not pickle keep working.
     """
     services = None
+    session = _SessionChannel(channel)
     try:
         while True:
             if first is not None:
                 (command, payload), first = first, None
             else:
                 try:
-                    command, payload = wire.recv_frame(channel)
+                    command, payload = session.receive()
                 except (wire.ConnectionLost, pickle.UnpicklingError):
                     return
             if command == "close":
@@ -271,7 +333,7 @@ def serve_session(channel: socket.socket, first=None) -> None:
                 reply = (True, result)
             except Exception:
                 reply = (False, traceback.format_exc())
-            wire.send_frame(channel, reply)
+            session.send(reply)
     except OSError:
         return
 

@@ -18,7 +18,9 @@ snapshot plus a journal replay) and teardown.  A worker's channel is one
 end of a ``socket.socketpair()`` made before the fork — private to the two
 processes, so it needs no handshake.  Each worker's sub-chunks ride one
 pickled ``batch`` frame, the same request the socket backend sends, and
-the reply frame carries its outputs back.
+the reply frame carries its outputs back.  With two chunks in flight a
+worker reads the next request ahead while its reply waits for room in the
+channel, so frames larger than the socket buffers cannot deadlock.
 
 Determinism: the per-shard generators are spawned in the parent (exactly as
 the serial backend consumes them) and handed to the workers at start-up, so

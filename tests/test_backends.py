@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import telemetry
 from repro.cli import main
 from repro.engine import (
     AuthenticationError,
@@ -139,6 +140,17 @@ def _broken_on_shard_one_factory(index, rng):
     if index == 1:
         raise RuntimeError("shard 1 construction boom")
     return _MuteService()
+
+
+class _RaisingService(_MuteService):
+    """Shard service whose batch ingestion raises inside the worker."""
+
+    def on_receive_batch(self, identifiers):
+        raise ValueError("batch ingestion boom")
+
+
+def _raising_factory(index, rng):
+    return _RaisingService()
 
 
 def _live_shard_workers():
@@ -563,6 +575,112 @@ class TestWorkerFailures:
                                   capture_output=True, text=True, env=env,
                                   timeout=120)
         assert finished.returncode == 0, finished.stderr
+
+
+# --------------------------------------------------------------------- #
+# The process backend's one data path: a pickled batch frame per worker
+# --------------------------------------------------------------------- #
+class TestProcessFramePath:
+    @pytest.mark.parametrize("size", [1, 128, 2048, 8000])
+    def test_every_chunk_size_matches_serial(self, size):
+        # a one-element chunk reaches a single worker; the largest is the
+        # whole stream in one frame per worker
+        ids = np.asarray(STREAM.identifiers, dtype=np.int64)
+        chunks = [ids[start:start + size]
+                  for start in range(0, min(ids.size, 32 * size), size)]
+        serial = _service("serial")
+        with _service("process", workers=2) as service:
+            for chunk in chunks:
+                assert np.array_equal(service.on_receive_batch(chunk),
+                                      serial.on_receive_batch(chunk))
+            assert service.merged_memory() == serial.merged_memory()
+            assert service.shard_loads() == serial.shard_loads()
+            assert service.sample_many(50) == serial.sample_many(50)
+
+    def test_runs_where_shared_memory_is_unavailable(self, monkeypatch):
+        # no step of the data path opens a shared-memory segment, in the
+        # parent or in the (forked) workers
+        from multiprocessing import shared_memory
+
+        def unavailable(*args, **kwargs):
+            raise OSError("no POSIX shared memory on this host")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
+        ids = np.asarray(STREAM.identifiers, dtype=np.int64)
+        serial = _service("serial")
+        with _service("process", workers=2) as service:
+            assert np.array_equal(service.on_receive_batch(ids),
+                                  serial.on_receive_batch(ids))
+            assert service.merged_memory() == serial.merged_memory()
+
+    def test_one_batch_frame_per_involved_worker(self):
+        ids = np.asarray(STREAM.identifiers, dtype=np.int64)
+        with telemetry.enabled() as registry:
+            with _service("process", workers=2) as service:
+                # one element reaches one shard, hence one worker; the
+                # larger chunks reach both workers
+                for chunk in (ids[:1], ids[:4096], ids[4096:]):
+                    service.on_receive_batch(chunk)
+            snapshot = registry.snapshot()
+        histograms = snapshot["histograms"]
+        assert histograms["backend.process.roundtrip_seconds.batch"][
+            "count"] == 1 + 2 + 2
+        assert snapshot["counters"]["backend.process.dispatch_elements"] \
+            == 1 + ids.size
+        names = [*snapshot["counters"], *histograms, *snapshot["gauges"]]
+        assert [name for name in names if "shm" in name] == []
+
+    def test_clean_close_reaps_every_worker(self):
+        with _service("process", workers=2) as service:
+            service.on_receive_batch(STREAM.identifiers[:4096])
+            processes = list(service.backend._processes)
+            assert [process.is_alive() for process in processes] \
+                == [True, True]
+        assert all(process.exitcode is not None for process in processes)
+
+    def test_close_with_a_dispatch_in_flight_reaps_every_worker(self):
+        service = _service("process", workers=2)
+        processes = list(service.backend._processes)
+        ticket, size = service.begin_batch(STREAM.identifiers[:4096])
+        assert size == 4096 and not ticket.collected
+        service.close()
+        # close collected the chunk first, so its loads are accounted
+        assert ticket.collected
+        assert sum(service.shard_loads()) == 4096
+        assert all(process.exitcode is not None for process in processes)
+
+    def test_retired_worker_is_reaped_and_the_survivor_serves(self):
+        ids = np.asarray(STREAM.identifiers, dtype=np.int64)
+        serial = _service("serial")
+        with _service("process", workers=1) as service:
+            added = service.add_worker()
+            retired = service.backend._processes[added]
+            service.migrate_shard(0, added)
+            for chunk in (ids[:2048], ids[2048:4096]):
+                assert np.array_equal(service.on_receive_batch(chunk),
+                                      serial.on_receive_batch(chunk))
+            service.remove_worker(added)
+            assert retired.exitcode is not None
+            assert service.backend._processes[added] is None
+            assert np.array_equal(service.on_receive_batch(ids[4096:]),
+                                  serial.on_receive_batch(ids[4096:]))
+            assert service.merged_memory() == serial.merged_memory()
+
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    def test_worker_that_raises_poisons_the_backend(self, backend):
+        # the raising worker's shards are half-updated and the other
+        # worker's reply is still unread: no later request may run
+        service = ShardedSamplingService(2, _raising_factory, random_state=3,
+                                         backend=backend, workers=2)
+        try:
+            with pytest.raises(WorkerCrashError,
+                               match="raised while serving 'batch'"):
+                service.on_receive_batch(STREAM.identifiers[:64])
+            with pytest.raises(WorkerCrashError, match="desynchronised"):
+                service.on_receive_batch(STREAM.identifiers[:64])
+        finally:
+            service.close()
+        _assert_no_leaked_workers()
 
 
 # --------------------------------------------------------------------- #

@@ -7,9 +7,13 @@ merged memory, loads and samples bit-identical to the serial backend on
 every edge the double buffer has: single-chunk streams, a final partial
 chunk, many chunks in a row, a stalled worker exercising backpressure,
 sampling between begin and finish (pipeline drain), a mid-run autoscale
-migration, and a worker killed with two dispatches in flight.
+migration, a worker killed with two dispatches in flight, and frames larger
+than the channel's socket buffers (the worker reads the next request while
+its reply waits, so two in-flight frames cannot deadlock).
 """
 
+import socket
+import threading
 import time
 
 import numpy as np
@@ -18,6 +22,8 @@ import pytest
 from repro import telemetry
 from repro.core import KnowledgeFreeStrategy
 from repro.engine import ShardedSamplingService, run_stream
+from repro.engine.backends import wire
+from repro.engine.backends.base import serve_session
 from repro.engine.backends.process import ProcessBackend
 from repro.engine.backends.serial import SerialBackend
 from repro.engine.backends.socket import SocketBackend
@@ -262,6 +268,61 @@ class TestPipelinedRecovery:
 
 
 # --------------------------------------------------------------------- #
+# Frames larger than the channel's socket buffers
+# --------------------------------------------------------------------- #
+class TestLargeFrames:
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    @pytest.mark.parametrize("batch_size", [65_536, 262_144])
+    def test_chunks_larger_than_the_socket_buffers(self, backend, batch_size,
+                                                   monkeypatch):
+        """Each worker's frame outgrows the socket buffers, and the process
+        backend keeps two of them in flight: the run neither stalls nor
+        departs from serial."""
+        # a stalled channel surfaces as a timeout, not a 300 s hang
+        monkeypatch.setattr("repro.engine.backends.base."
+                            "DEFAULT_REQUEST_TIMEOUT", 30.0)
+        ids = np.random.default_rng(5).integers(
+            0, 100_000, size=3 * batch_size).astype(np.int64)
+        reference = _serial_run(ids, batch_size)
+        with _service(backend, workers=2) as service:
+            result = run_stream(service, ids, batch_size=batch_size)
+            assert result.batches == 3
+            _assert_matches(service, result, reference)
+
+    def test_worker_reads_ahead_while_its_reply_waits(self):
+        """Two large batch frames posted back to back, no reply read in
+        between: the session reads the second while the first reply waits
+        for room, so both sends complete and both replies arrive in order."""
+        parent, child = _started_session()
+        try:
+            deadline = time.monotonic() + 10.0
+            chunks = [np.arange(start, start + 200_000, dtype=np.int64)
+                      for start in (0, 10**6)]
+            for chunk in chunks:
+                wire.send_frame(parent, ("batch", {0: chunk}),
+                                deadline=deadline)
+            for chunk in chunks:
+                ok, result = wire.recv_frame(parent, deadline=deadline)
+                assert ok and np.array_equal(result[0], chunk)
+            wire.send_frame(parent, ("close", None), deadline=deadline)
+            child.join(timeout=10.0)
+            assert not child.is_alive()
+        finally:
+            parent.close()
+
+    def test_session_ends_when_the_parent_closes_mid_reply(self):
+        parent, child = _started_session()
+        chunk = np.arange(400_000, dtype=np.int64)
+        wire.send_frame(parent, ("batch", {0: chunk}),
+                        deadline=time.monotonic() + 10.0)
+        # the reply outgrows the channel; closing unread ends the session
+        time.sleep(0.2)
+        parent.close()
+        child.join(timeout=10.0)
+        assert not child.is_alive()
+
+
+# --------------------------------------------------------------------- #
 # Worker-side helpers (module-level so worker processes can ship them)
 # --------------------------------------------------------------------- #
 class _SlowShardService:
@@ -291,3 +352,35 @@ class _SlowKnowledgeFreeFactory:
     def __call__(self, index, rng):
         inner = self._inner(index, rng)
         return _SlowShardService(inner, self._delay if index == 0 else 0.0)
+
+
+class _EchoShardService:
+    """Shard service that returns each batch unchanged."""
+
+    elements_processed = 0
+
+    def on_receive_batch(self, identifiers):
+        return identifiers
+
+
+def _echo_factory(index, rng):
+    return _EchoShardService()
+
+
+def _started_session():
+    """A worker session serving one echo shard on a thread, past start.
+
+    Returns ``(parent_end, thread)``; the thread owns the worker's end.
+    """
+    parent, worker_end = socket.socketpair()
+    start = {"shard_ids": [0], "factory": _echo_factory, "rngs": [None]}
+
+    def serve():
+        with worker_end:
+            serve_session(worker_end, first=("start", start))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert wire.recv_frame(parent, deadline=time.monotonic() + 10.0) \
+        == (True, [0])
+    return parent, thread
