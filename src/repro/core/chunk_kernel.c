@@ -7,14 +7,45 @@
  * then draw the output uniformly from Gamma.  It consumes the strategy's
  * coin streams exactly as the scalar path does, so the outputs, Gamma, the
  * sketch table and the coin positions it leaves are bit-identical to that
- * loop's.  repro/core/chunk_kernel.py builds it with the system compiler
+ * loop's.  Each coin stream arrives as the values its buffer still holds
+ * (the head) and the NumPy bit generator behind it: the kernel takes the
+ * head first and then calls the generator's next_double, which is what
+ * Generator.random would have buffered at the same stream positions.
+ * repro/core/chunk_kernel.py builds it with the system compiler
  * (-ffp-contract=off keeps every float product unfused, as in CPython) and
- * calls it through ctypes; the caller checks every array length.
+ * calls it through ctypes, holding each generator's lock; the caller checks
+ * every array length.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
 #define MERSENNE_61 ((uint64_t)0x1FFFFFFFFFFFFFFFULL)
+
+/* NumPy's bit-generator interface, as numpy/random/bitgen.h declares it;
+ * Generator.bit_generator.ctypes.bit_generator points at one. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* One coin stream: the values its buffer holds, then its generator. */
+typedef struct {
+    const double *head;
+    int64_t length;
+    int64_t used;
+    bitgen_t *generator;
+} coin_stream;
+
+static double next_coin(coin_stream *coins)
+{
+    if (coins->used < coins->length)
+        return coins->head[coins->used++];
+    coins->used++;
+    return coins->generator->next_double(coins->generator->state);
+}
 
 /* ((a * x + b) mod p) mod range, p = 2^61 - 1, for x already reduced mod p:
  * UniversalHashFunction.__call__ in 128-bit arithmetic. */
@@ -85,20 +116,31 @@ static void discard(member_set *set, int64_t slot)
  * hashes[depth * 3]        per row: a, b and range of its hash function
  * table[depth * width]     the Count-Min counters, updated in place
  * memory[capacity]         Gamma; its first `length` slots are in use
- * samples[n]               one sample coin per element
- * accepts[n], victims[n]   peeked accept and victim coins
+ * sample_head[sample_length], sample_generator
+ *                          the sample coin stream: one coin per element
+ * accept_head[accept_length], accept_generator
+ *                          the accept coin stream: one coin per qualifier
+ * victim_head[victim_length], victim_generator
+ *                          the victim coin stream: one coin per admission
  * outputs[n]               one output identifier per element
- * used[2]                  out: accept and victim coins consumed
+ * used[3]                  out: sample, accept and victim coins consumed,
+ *                          head values first; what exceeds a head's
+ *                          length was drawn from its generator
  *
  * Returns Gamma's new length, or -1 when the membership set cannot be
- * allocated (nothing has been changed then).
+ * allocated (nothing has been changed or drawn then).
  */
 int64_t repro_chunk_kernel(const int64_t *ids, int64_t n,
                            const uint64_t *hashes, int64_t depth,
                            int64_t width, int64_t *table,
                            int64_t *memory, int64_t length,
-                           int64_t capacity, const double *samples,
-                           const double *accepts, const double *victims,
+                           int64_t capacity,
+                           const double *sample_head, int64_t sample_length,
+                           bitgen_t *sample_generator,
+                           const double *accept_head, int64_t accept_length,
+                           bitgen_t *accept_generator,
+                           const double *victim_head, int64_t victim_length,
+                           bitgen_t *victim_generator,
                            int64_t *outputs, int64_t *used)
 {
     const int64_t cells = depth * width;
@@ -126,7 +168,9 @@ int64_t repro_chunk_kernel(const int64_t *ids, int64_t n,
         }
     }
 
-    int64_t accepted = 0, drawn = 0;
+    coin_stream samples = {sample_head, sample_length, 0, sample_generator};
+    coin_stream accepts = {accept_head, accept_length, 0, accept_generator};
+    coin_stream victims = {victim_head, victim_length, 0, victim_generator};
     for (int64_t i = 0; i < n; i++) {
         const int64_t identifier = ids[i];
         int64_t reduced = identifier % (int64_t)MERSENNE_61;
@@ -165,25 +209,28 @@ int64_t repro_chunk_kernel(const int64_t *ids, int64_t n,
                 insert(&set, length);
                 length++;
             }
-            outputs[i] = memory[(int64_t)(samples[i] * (double)length)];
+            outputs[i] = memory[(int64_t)(next_coin(&samples)
+                                          * (double)length)];
             continue;
         }
         if (!member) {
             double acceptance = (double)minimum / (double)estimate;
             if (acceptance > 1.0)
                 acceptance = 1.0;
-            if (acceptance > 0 && accepts[accepted++] < acceptance) {
+            if (acceptance > 0 && next_coin(&accepts) < acceptance) {
                 const int64_t victim =
-                    (int64_t)(victims[drawn++] * (double)capacity);
+                    (int64_t)(next_coin(&victims) * (double)capacity);
                 discard(&set, victim);
                 memory[victim] = identifier;
                 insert(&set, victim);
             }
         }
-        outputs[i] = memory[(int64_t)(samples[i] * (double)capacity)];
+        outputs[i] = memory[(int64_t)(next_coin(&samples)
+                                      * (double)capacity)];
     }
     free(set.entries);
-    used[0] = accepted;
-    used[1] = drawn;
+    used[0] = samples.used;
+    used[1] = accepts.used;
+    used[2] = victims.used;
     return length;
 }

@@ -28,6 +28,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.rng import BufferedUniforms
+
 _LOG = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("chunk_kernel.c")
@@ -116,8 +118,9 @@ def _build_and_load() -> Optional[Callable]:
         array(np.int64, 2, writeable=True),           # table
         array(np.int64, 1, writeable=True),           # memory
         int64, int64,                                 # length, capacity
-        array(np.float64, 1), array(np.float64, 1),   # samples, accepts
-        array(np.float64, 1),                         # victims
+        array(np.float64, 1), int64, ctypes.c_void_p,  # sample coins
+        array(np.float64, 1), int64, ctypes.c_void_p,  # accept coins
+        array(np.float64, 1), int64, ctypes.c_void_p,  # victim coins
         array(np.int64, 1, writeable=True),           # outputs
         array(np.int64, 1, writeable=True),           # used
     ]
@@ -125,15 +128,18 @@ def _build_and_load() -> Optional[Callable]:
 
 
 def run_chunk(function: Callable, ids: np.ndarray, sketch, memory: np.ndarray,
-              length: int, samples: np.ndarray, accepts: np.ndarray,
-              victims: np.ndarray) -> Tuple[np.ndarray, int, int, int]:
+              length: int, samples: BufferedUniforms,
+              accepts: BufferedUniforms,
+              victims: BufferedUniforms) -> Tuple[np.ndarray, int]:
     """Run Algorithm 3 over ``ids`` in the compiled kernel.
 
     ``memory`` is Gamma in a buffer of the strategy's capacity, its first
     ``length`` slots in use; it and ``sketch``'s table are updated in
-    place, and the sketch's total grows by the chunk's length.  Every coin
-    array must hold at least one value per element.  Returns ``(outputs,
-    length, accepts_used, victims_used)``.
+    place, and the sketch's total grows by the chunk's length.  The kernel
+    takes each coin stream's buffered values first and then draws from the
+    stream's bit generator itself, holding the generator's lock (the call
+    releases the GIL); each stream then advances by the coins used.
+    Returns ``(outputs, length)``.
     """
     size = int(ids.size)
     functions = sketch._hash_functions
@@ -146,15 +152,24 @@ def run_chunk(function: Callable, ids: np.ndarray, sketch, memory: np.ndarray,
     if not 0 <= length <= memory.size:
         raise ValueError(f"Gamma length {length} outside its buffer of "
                          f"{memory.size}")
-    if min(samples.size, accepts.size, victims.size) < size:
-        raise ValueError("every coin array needs one value per element")
+    streams = (samples, accepts, victims)
+    generators = [stream.bit_generator for stream in streams]
+    if len({id(generator) for generator in generators}) != len(streams):
+        raise ValueError("each coin stream needs its own generator")
     hashes = np.array([(f.a, f.b, f.range_size) for f in functions],
                       dtype=np.uint64)
     outputs = np.empty(size, dtype=np.int64)
-    used = np.zeros(2, dtype=np.int64)
-    length = function(ids, size, hashes, depth, width, table, memory, length,
-                      memory.size, samples, accepts, victims, outputs, used)
+    used = np.zeros(len(streams), dtype=np.int64)
+    coins = []
+    for stream, generator in zip(streams, generators):
+        head = stream.pending()
+        coins += [head, head.size, generator.ctypes.bit_generator]
+    with generators[0].lock, generators[1].lock, generators[2].lock:
+        length = function(ids, size, hashes, depth, width, table, memory,
+                          length, memory.size, *coins, outputs, used)
     if length < 0:
         raise MemoryError("chunk kernel could not allocate its Gamma set")
+    for stream, count in zip(streams, used.tolist()):
+        stream.advance_drawn(count)
     sketch._total += size
-    return outputs, int(length), int(used[0]), int(used[1])
+    return outputs, int(length)

@@ -32,12 +32,15 @@ The contract both paths keep: an accept coin goes only to a *qualifier* —
 an element that arrives with Gamma full, is not in Gamma and has
 ``a_j > 0`` — in element order; a victim coin goes only to an accepted
 qualifier; every element draws exactly one sample coin.  The batch path
-has two chunk kernels, compiled and NumPy, and each takes a chunk's
-sample coins at once.  Neither can know in advance how many qualifiers a
-chunk holds, so each reads its accept coins with one ``peek`` of the
-chunk's length and then calls ``advance`` with exactly the number of
-coins it used.  The compiled kernel reads its victim coins the same way;
-the NumPy kernel draws them one at a time.
+has two chunk kernels, compiled and NumPy.  The compiled kernel draws all
+three kinds of coin in place: it takes the values each buffer still holds
+and then calls the stream's NumPy bit generator, which yields the values
+the buffer would have drawn next, and each buffer then advances by the
+coins used.  The NumPy kernel draws through the buffers: it takes a
+chunk's sample coins at once, reads its accept coins with one ``peek`` of
+the chunk's length and then calls ``advance`` with exactly the number it
+used (it cannot know in advance how many qualifiers a chunk holds), and
+draws victim coins one at a time.
 """
 
 from __future__ import annotations
@@ -209,13 +212,9 @@ class KnowledgeFreeStrategy(SamplingStrategy):
         memory = self._memory
         gamma = np.zeros(self.memory_size, dtype=np.int64)
         gamma[:len(memory)] = memory
-        outputs, length, accepted, drawn = chunk_kernel.run_chunk(
+        outputs, length = chunk_kernel.run_chunk(
             kernel, np.ascontiguousarray(ids), sketch, gamma, len(memory),
-            self._sample_coins.take_array(size),
-            self._accept_coins.peek_array(size),
-            self._victim_coins.peek_array(size))
-        self._accept_coins.advance(accepted)
-        self._victim_coins.advance(drawn)
+            self._sample_coins, self._accept_coins, self._victim_coins)
         memory[:] = gamma[:length].tolist()
         self._memory_set.clear()
         self._memory_set.update(memory)

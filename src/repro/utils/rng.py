@@ -57,49 +57,63 @@ class BufferedUniforms:
     the per-draw cost by an order of magnitude.
 
     The crucial property for the batch streaming engine is *chunk invariance*:
-    the sequence of values consumed through :meth:`next`, :meth:`take`,
-    :meth:`take_array` and :meth:`advance` is a fixed function of the
-    underlying generator's seed, independent of how the draws are grouped;
-    :meth:`peek` and :meth:`peek_array` read ahead without consuming.  A
-    strategy whose scalar and batch execution paths both draw their coins
-    from the same buffered streams therefore produces bit-identical outputs
-    under both drivers.  (NumPy generators fill ``random(n)`` sequentially
-    from the bit stream, so the refill block boundaries do not change which
-    value sits at which stream position.)
+    the sequence of values consumed through :meth:`next`, :meth:`take` and
+    :meth:`advance` is a fixed function of the underlying generator's seed,
+    independent of how the draws are grouped; :meth:`peek` reads ahead
+    without consuming.  A strategy whose scalar and batch execution paths
+    both draw their coins from the same buffered streams therefore produces
+    bit-identical outputs under both drivers.  (NumPy generators fill
+    ``random(n)`` sequentially from the bit stream, so the refill block
+    boundaries do not change which value sits at which stream position.)
 
-    Refill blocks start at ``initial_block`` and grow geometrically up to
-    ``block_size``: a simulation holding one stream per node (10k+ nodes,
-    a handful of draws per node per round) must not pay a 4096-value refill
-    for every stream it merely touches, while a stream that is actually
-    drained still amortises at the full block size after a few refills.
+    The compiled chunk kernel (:mod:`repro.core.chunk_kernel`) draws past
+    the buffer itself: it takes the :meth:`pending` values first and then
+    calls :attr:`bit_generator`'s ``next_double``, the function
+    ``random(n)`` fills its blocks with, so it reads the values a refill
+    would have buffered; :meth:`advance_drawn` then records how many it
+    used.  A pickle holds only the unconsumed values, so a stream that
+    has been drained carries none of the values it handed out.
+
+    Refill blocks start at :attr:`INITIAL_BLOCK` values and grow
+    geometrically up to ``block_size``: a simulation holding one stream
+    per node (10k+ nodes, a handful of draws per node per round) must not
+    pay a 4096-value refill for every stream it merely touches, while a
+    stream that is actually drained still amortises at the full block size
+    after a few refills.  A stream the compiled kernel leaves empty starts
+    small again, since its next reader may want only a few values.
     """
 
     __slots__ = ("_rng", "_block_size", "_next_block", "_buffer", "_position")
 
+    #: Size of the first refill, and of the first after the buffer empties.
+    INITIAL_BLOCK = 32
+
     def __init__(self, random_state: RandomState = None, *,
-                 block_size: int = 4096, initial_block: int = 32) -> None:
+                 block_size: int = 4096) -> None:
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
-        if initial_block <= 0:
-            raise ValueError(
-                f"initial_block must be positive, got {initial_block}")
         self._rng = ensure_rng(random_state)
         self._block_size = int(block_size)
-        self._next_block = min(int(initial_block), self._block_size)
+        self._next_block = min(self.INITIAL_BLOCK, self._block_size)
         self._buffer: List[float] = []
         self._position = 0
 
-    def _refill(self, needed: int) -> np.ndarray:
-        """Make at least ``needed`` unconsumed values available.
+    def __getstate__(self):
+        # the default pickle's layout, with only the unconsumed values:
+        # a pickle that also holds consumed ones and their position
+        # restores through the same default path
+        return None, {"_rng": self._rng, "_block_size": self._block_size,
+                      "_next_block": self._next_block,
+                      "_buffer": self._buffer[self._position:],
+                      "_position": 0}
 
-        Returns the freshly drawn block, as drawn.
-        """
+    def _refill(self, needed: int) -> None:
+        """Make at least ``needed`` unconsumed values available."""
         pending = self._buffer[self._position:]
         fresh = self._rng.random(max(self._next_block, needed - len(pending)))
         self._buffer = pending + fresh.tolist()
         self._next_block = min(self._next_block * 4, self._block_size)
         self._position = 0
-        return fresh
 
     def next(self) -> float:
         """Return the next uniform ``[0, 1)`` value of the stream."""
@@ -126,36 +140,15 @@ class BufferedUniforms:
         A consumer that does not know in advance how many values it will use
         peeks an upper bound, uses a prefix, and then calls :meth:`advance`
         with the length of that prefix; the stream then continues as if the
-        prefix had been drawn with :meth:`next`.  Peeking adds nothing to
-        the pickled state but buffered values, so a snapshot taken between
-        a peek and its advance resumes the same stream.
+        prefix had been drawn with :meth:`next`.  Peeked values are buffered
+        values, so a snapshot taken between a peek and its advance resumes
+        the same stream.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         if len(self._buffer) - self._position < count:
             self._refill(count)
         return self._buffer[self._position:self._position + count]
-
-    def take_array(self, count: int) -> np.ndarray:
-        """:meth:`take` as a float64 array (see :meth:`peek_array`)."""
-        values = self.peek_array(count)
-        self._position += count
-        return values
-
-    def peek_array(self, count: int) -> np.ndarray:
-        """:meth:`peek` as a float64 array.
-
-        Values drawn to serve the request enter the array as drawn, not
-        converted back from the buffer's Python floats.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        head = self._buffer[self._position:self._position + count]
-        if len(head) == count:
-            return np.array(head, dtype=np.float64)
-        fresh = self._refill(count)
-        return np.concatenate((np.array(head, dtype=np.float64),
-                               fresh[:count - len(head)]))
 
     def advance(self, count: int) -> None:
         """Consume the next ``count`` values, as ``count`` :meth:`next` calls."""
@@ -164,6 +157,31 @@ class BufferedUniforms:
         if len(self._buffer) - self._position < count:
             self._refill(count)
         self._position += count
+
+    @property
+    def bit_generator(self) -> np.random.BitGenerator:
+        """The bit generator behind the stream, for :meth:`advance_drawn`."""
+        return self._rng.bit_generator
+
+    def pending(self) -> np.ndarray:
+        """The buffered values not yet consumed, in stream order."""
+        return np.array(self._buffer[self._position:], dtype=np.float64)
+
+    def advance_drawn(self, count: int) -> None:
+        """Consume ``count`` values, drawing none.
+
+        The first ones are the :meth:`pending` values; the rest must already
+        have been drawn from :attr:`bit_generator` with ``next_double``, one
+        per value, as the compiled chunk kernel does.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if count < len(self._buffer) - self._position:
+            self._position += count
+            return
+        self._buffer = []
+        self._position = 0
+        self._next_block = min(self.INITIAL_BLOCK, self._block_size)
 
 
 def spawn_children(random_state: RandomState, count: int) -> List[np.random.Generator]:

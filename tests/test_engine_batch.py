@@ -12,6 +12,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.sketches import (
     UniversalHashFamily,
 )
 from repro.streams import peak_attack_stream, zipf_stream
+from repro.utils.rng import BufferedUniforms
 
 STREAM = zipf_stream(8_000, 1_000, alpha=1.5, random_state=17)
 
@@ -88,13 +90,16 @@ def _kernel_strategy(memory, sketch):
                                  sketch_depth=depth, random_state=41)
 
 
+COIN_STREAMS = ("_sample_coins", "_accept_coins", "_victim_coins")
+
+
 def _assert_same_state(reference, strategy):
     """``strategy`` left every observable of Algorithm 3 as ``reference``."""
     assert reference.memory == strategy.memory
     assert np.array_equal(reference.sketch.table, strategy.sketch.table)
     assert reference.sketch.total == strategy.sketch.total
     assert reference.sketch.min_cell() == strategy.sketch.min_cell()
-    for coins in ("_accept_coins", "_victim_coins", "_sample_coins"):
+    for coins in COIN_STREAMS:
         assert (getattr(reference, coins).next()
                 == getattr(strategy, coins).next()), coins
 
@@ -220,6 +225,86 @@ class TestSeedDeterminism:
             strategy = pickle.loads(pickle.dumps(strategy))
         assert np.array_equal(expected.outputs, np.concatenate(outputs))
         _assert_same_state(reference, strategy)
+
+    @pytest.mark.parametrize("head", ["shorter", "equal", "longer"])
+    def test_compiled_chunk_starting_mid_buffer(self, monkeypatch,
+                                                compiled_kernel, head):
+        """The compiled kernel takes each stream's buffered values before it
+        draws from the generator: with all three streams mid-buffer, their
+        heads shorter than, equal to or longer than what the chunk uses, it
+        still leaves the state of the per-element loop."""
+        stream = _kernel_stream("zipf1.1", size=3_000)
+        warm, chunk = stream[:2_000], stream[2_000:2_600]
+        reference = _kernel_strategy(7, (200, 5))
+        strategy = _kernel_strategy(7, (200, 5))
+        run_stream_scalar(reference, warm)
+        run_stream(strategy, warm, batch_size=500)
+        # each stream first consumes 32 values; what the chunk then uses
+        # of each is counted on a copy
+        used = {}
+        advance_drawn = BufferedUniforms.advance_drawn
+
+        def counting(coins, count):
+            used[id(coins)] = count
+            advance_drawn(coins, count)
+
+        probe = pickle.loads(pickle.dumps(strategy))
+        for name in COIN_STREAMS:
+            getattr(probe, name).take(32)
+        with monkeypatch.context() as patch:
+            patch.setattr(BufferedUniforms, "advance_drawn", counting)
+            probe.process_batch(chunk)
+        counts = [used[id(getattr(probe, name))] for name in COIN_STREAMS]
+        assert counts[0] == chunk.size and min(counts) >= 2
+        # the same 32 values, with a head of the size under test buffered
+        # behind them
+        for name, count in zip(COIN_STREAMS, counts):
+            size = {"shorter": count // 2, "equal": count,
+                    "longer": count + 50}[head]
+            getattr(strategy, name).peek(32 + size)
+            for owner in (reference, strategy):
+                getattr(owner, name).take(32)
+            assert getattr(strategy, name).pending().size == size
+        expected = run_stream_scalar(reference, chunk)
+        outputs = strategy.process_batch(chunk)
+        assert np.array_equal(expected.outputs, outputs)
+        for name in COIN_STREAMS:
+            assert getattr(strategy, name).pending().size == (
+                50 if head == "longer" else 0)
+        _assert_same_state(reference, strategy)
+
+    def test_run_chunk_waits_for_a_held_generator_lock(self,
+                                                       compiled_kernel):
+        """The kernel draws from the generators with the GIL released, so
+        it must hold their locks: a chunk waits while another thread
+        holds one, then runs exactly as the per-element loop."""
+        stream = _kernel_stream("zipf1.1", size=1_000)
+        reference = _kernel_strategy(7, (200, 5))
+        strategy = _kernel_strategy(7, (200, 5))
+        expected = run_stream_scalar(reference, stream)
+        result = {}
+        worker = threading.Thread(target=lambda: result.update(
+            outputs=strategy.process_batch(stream)))
+        with strategy._victim_coins.bit_generator.lock:
+            worker.start()
+            worker.join(0.3)
+            assert worker.is_alive() and not result
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert np.array_equal(expected.outputs, result["outputs"])
+        _assert_same_state(reference, strategy)
+
+    def test_a_stream_emptied_by_a_compiled_chunk_refills_small(
+            self, compiled_kernel):
+        """A read after a chunk must not pay for a full-size refill."""
+        strategy = _kernel_strategy(7, (200, 5))
+        coins = strategy._sample_coins
+        for _ in range(3_000):  # grows the refill block to 4096
+            coins.next()
+        strategy.process_batch(_kernel_stream("zipf1.1", size=8_192))
+        assert coins.pending().size == 0
+        strategy.sample()
+        assert coins.pending().size == BufferedUniforms.INITIAL_BLOCK - 1
 
     def test_numpy_kernel_draws_coins_only_for_qualifiers(self, monkeypatch):
         """Accept coins go to qualifiers only, victim coins to accepted ones.

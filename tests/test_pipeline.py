@@ -9,9 +9,11 @@ chunk, many chunks in a row, a stalled worker exercising backpressure,
 sampling between begin and finish (pipeline drain), a mid-run autoscale
 migration, a worker killed with two dispatches in flight, and frames larger
 than the channel's socket buffers (the worker reads the next request while
-its reply waits, so two in-flight frames cannot deadlock).
+its reply waits, so two in-flight frames cannot deadlock), including a
+request cut off while the worker reads it ahead.
 """
 
+import pickle
 import socket
 import threading
 import time
@@ -22,7 +24,7 @@ import pytest
 from repro import telemetry
 from repro.core import KnowledgeFreeStrategy
 from repro.engine import ShardedSamplingService, run_stream
-from repro.engine.backends import wire
+from repro.engine.backends import base, wire
 from repro.engine.backends.base import serve_session
 from repro.engine.backends.process import ProcessBackend
 from repro.engine.backends.serial import SerialBackend
@@ -321,6 +323,82 @@ class TestLargeFrames:
         child.join(timeout=10.0)
         assert not child.is_alive()
 
+    @pytest.mark.parametrize("reply", ["unread", "read"])
+    def test_session_ends_when_a_request_is_cut_off_during_read_ahead(
+            self, monkeypatch, reply):
+        """The parent sends half of request k+1 while reply k waits for
+        room, then closes.  The session ends without a traceback or a hang,
+        whether the cut request is still being read ahead (reply k unread)
+        or waits in the read-ahead buffer (reply k read)."""
+        errors = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda hook: errors.append(hook.exc_value))
+        held = []
+
+        class Recording(base._SessionChannel):
+            def send(self, reply):
+                try:
+                    super().send(reply)
+                finally:
+                    held.append(len(self._ahead))
+
+        monkeypatch.setattr(base, "_SessionChannel", Recording)
+        parent, child = _started_session()
+        try:
+            parent.settimeout(10.0)
+            chunk = np.arange(200_000, dtype=np.int64)
+            wire.send_frame(parent, ("batch", {0: chunk}),
+                            deadline=time.monotonic() + 10.0)
+            blob = pickle.dumps(("batch", {0: chunk}))
+            frame = wire.LENGTH.pack(len(blob)) + blob
+            # more than the socket buffers hold: it goes out only as the
+            # worker reads it ahead
+            parent.sendall(frame[:len(frame) // 2])
+            if reply == "read":
+                ok, result = wire.recv_frame(
+                    parent, deadline=time.monotonic() + 10.0)
+                assert ok and np.array_equal(result[0], chunk)
+        finally:
+            parent.close()
+        child.join(timeout=10.0)
+        assert not child.is_alive()
+        assert not errors
+        assert held[-1] > 0
+
+    def test_a_pool_recovers_a_worker_lost_to_a_cut_off_request(
+            self, monkeypatch):
+        """Worker 0's channel breaks after half of request k+1 went out
+        while reply k waited for room: the worker's session ends, the pool
+        re-launches it, and the run stays bit-identical to serial."""
+        monkeypatch.setattr("repro.engine.backends.base."
+                            "DEFAULT_REQUEST_TIMEOUT", 30.0)
+        batch_size = 262_144
+        ids = np.random.default_rng(6).integers(
+            0, 100_000, size=3 * batch_size).astype(np.int64)
+        reference = _serial_run(ids, batch_size)
+        with _service("process", workers=2) as service:
+            channel = service.backend._channels[0]
+            send_raw_frame = wire.send_raw_frame
+            sent = []
+
+            def cut_the_second_request(connection, payload, *,
+                                       deadline=None):
+                if connection is channel:
+                    sent.append(len(payload))
+                    if len(sent) == 2:
+                        frame = wire.LENGTH.pack(len(payload)) + payload
+                        connection.settimeout(10.0)
+                        connection.sendall(frame[:len(frame) // 2])
+                        connection.shutdown(socket.SHUT_WR)
+                        return
+                send_raw_frame(connection, payload, deadline=deadline)
+
+            monkeypatch.setattr(wire, "send_raw_frame",
+                                cut_the_second_request)
+            result = run_stream(service, ids, batch_size=batch_size)
+            assert len(sent) == 2
+            assert service.backend.respawns == 1
+            _assert_matches(service, result, reference)
 
 # --------------------------------------------------------------------- #
 # Worker-side helpers (module-level so worker processes can ship them)

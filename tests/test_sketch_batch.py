@@ -279,11 +279,6 @@ class TestBufferedUniforms:
             used = min(step % 3, len(peeked))
             got.extend(peeked[:used])
             mixed.advance(used)
-            got.extend(mixed.take_array(step % 4).tolist())
-            peeked = mixed.peek_array(step % 6)
-            assert peeked.dtype == np.float64
-            got.extend(peeked[:step % 2].tolist())
-            mixed.advance(min(step % 2, peeked.size))
         assert got == expected[:len(got)]
         assert mixed.next() == expected[len(got)]
 
@@ -292,7 +287,7 @@ class TestBufferedUniforms:
         first = stream.peek(20)
         assert stream.peek(5) == first[:5]
         assert stream.peek(0) == []
-        assert stream.peek_array(30).tolist()[:20] == first
+        assert stream.peek(30)[:20] == first
         assert stream.take(20) == first
 
     def test_pickle_between_peek_and_advance_keeps_the_stream(self):
@@ -307,7 +302,70 @@ class TestBufferedUniforms:
 
     def test_peek_and_advance_reject_negative_counts(self):
         stream = BufferedUniforms(24)
-        for method in (stream.peek, stream.peek_array, stream.advance,
-                       stream.take_array):
+        for method in (stream.peek, stream.advance, stream.advance_drawn):
             with pytest.raises(ValueError):
                 method(-1)
+
+    def test_a_pickle_holds_only_the_unconsumed_values(self):
+        reference = BufferedUniforms(25)
+        expected = [reference.next() for _ in range(100)]
+        stream = BufferedUniforms(25)
+        stream.take(10)                 # the first refill holds 32 values
+        restored = pickle.loads(pickle.dumps(stream))
+        assert restored._buffer == expected[10:32]
+        assert restored._position == 0
+        assert [restored.next() for _ in range(90)] == expected[10:]
+        stream.take(22)                 # drained: nothing left to ship
+        assert pickle.loads(pickle.dumps(stream))._buffer == []
+
+    def test_a_pickle_in_the_older_layout_restores_the_same_stream(
+            self, monkeypatch):
+        """Pickles once held every buffered value, consumed ones included,
+        and ``_position``: the default pickle of the same slots.  Such a
+        pickle restores the same stream."""
+        reference = BufferedUniforms(26)
+        expected = [reference.next() for _ in range(100)]
+        stream = BufferedUniforms(26)
+        stream.take(10)
+        with monkeypatch.context() as patch:
+            patch.delattr(BufferedUniforms, "__getstate__")
+            older = pickle.dumps(stream)
+        newer = pickle.dumps(stream)
+        assert len(older) > len(newer)
+        restored = pickle.loads(older)
+        assert restored._position == 10
+        assert [restored.next() for _ in range(90)] == expected[10:]
+
+    def test_advance_drawn_continues_where_the_generator_left_off(self):
+        """Values drawn past the buffer with the bit generator's
+        ``next_double`` (``Generator.random``) are the values a refill
+        would have buffered at the same positions."""
+        reference = BufferedUniforms(27)
+        expected = [reference.next() for _ in range(200)]
+        stream = BufferedUniforms(27)
+        stream.take(5)
+        head = stream.pending().tolist()
+        assert head == expected[5:32]
+        drawn = np.random.Generator(stream.bit_generator).random(40)
+        assert head + drawn.tolist() == expected[5:72]
+        stream.advance_drawn(len(head) + drawn.size)
+        assert [stream.next() for _ in range(128)] == expected[72:]
+
+    def test_advance_drawn_within_the_buffer_moves_its_position(self):
+        reference = BufferedUniforms(28)
+        expected = [reference.next() for _ in range(40)]
+        stream = BufferedUniforms(28)
+        stream.next()
+        stream.advance_drawn(10)
+        assert stream.pending().tolist() == expected[11:32]
+        assert [stream.next() for _ in range(29)] == expected[11:]
+
+    def test_an_emptied_buffer_refills_from_the_initial_block(self):
+        stream = BufferedUniforms(29)
+        for _ in range(3_000):  # refills of 32, 128, 512, 2048 and 4096
+            stream.next()
+        assert len(stream.pending()) == 2_720 - 3_000 + 4_096
+        stream.advance_drawn(stream.pending().size)
+        stream.next()
+        assert len(stream.pending()) == BufferedUniforms.INITIAL_BLOCK - 1
+
