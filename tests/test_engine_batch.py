@@ -294,6 +294,47 @@ class TestSeedDeterminism:
         assert np.array_equal(expected.outputs, result["outputs"])
         _assert_same_state(reference, strategy)
 
+    def test_concurrent_draws_on_a_shared_generator_lose_no_step(
+            self, compiled_kernel):
+        """Threads drawing from the sample stream's bit generator while
+        compiled chunks draw from it too: with the kernel holding the
+        generator's lock, every draw advances the generator by exactly
+        one step, so its final state is its first state advanced by the
+        total count.  A lost or repeated update would break that."""
+        strategy = _kernel_strategy(7, (200, 5))
+        bit_generator = strategy._sample_coins.bit_generator
+        expected = np.random.PCG64()
+        expected.state = bit_generator.state
+        stream = _kernel_stream("zipf1.1", size=3_000)
+        stop = threading.Event()
+        draws = []
+
+        def draw():
+            generator = np.random.Generator(bit_generator)
+            count = 0
+            while not stop.is_set():
+                generator.random(4_096)
+                count += 4_096
+            draws.append(count)
+
+        threads = [threading.Thread(target=draw) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(50):
+                strategy.process_batch(stream)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert strategy._sample_coins.pending().size == 0
+        expected.advance(50 * stream.size + sum(draws))
+        assert bit_generator.state == expected.state
+
     def test_a_stream_emptied_by_a_compiled_chunk_refills_small(
             self, compiled_kernel):
         """A read after a chunk must not pay for a full-size refill."""
